@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Build with AddressSanitizer + UndefinedBehaviorSanitizer and run the
-# checkpoint/restore suites under them: serialization walks raw bytes
-# and rebuilds object graphs (shared requests, event callbacks), which
-# is exactly where lifetime and aliasing bugs would hide.
+# checkpoint/restore and event-dispatch suites under them:
+# serialization walks raw bytes and rebuilds object graphs (shared
+# requests, pending events), and event dispatch moves request handles
+# out of the queue before handlers reschedule, which is exactly where
+# lifetime and aliasing bugs would hide.
 # Usage: scripts/asan.sh [extra test binaries...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,7 +13,7 @@ EXTRAS=()
 for arg in "$@"; do
     case "$arg" in
         -h|--help)
-            sed -n '2,6p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,8p' "$0" | sed 's/^# \{0,1\}//'
             exit 0 ;;
         -*)
             echo "asan.sh: unknown flag '$arg' (try --help)" >&2
@@ -27,7 +29,8 @@ cmake -B "$BUILD" -S . \
     -DCMAKE_CXX_FLAGS="$SAN -g" \
     -DCMAKE_EXE_LINKER_FLAGS="$SAN"
 cmake --build "$BUILD" -j \
-    --target test_ckpt test_sim test_base mitts_sim_tool
+    --target test_ckpt test_sim test_base test_memctrl test_cache \
+    mitts_sim_tool
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
@@ -35,6 +38,8 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 "$BUILD"/tests/test_ckpt
 "$BUILD"/tests/test_sim
 "$BUILD"/tests/test_base
+"$BUILD"/tests/test_memctrl
+"$BUILD"/tests/test_cache
 bash tests/cli_ckpt_test.sh "$BUILD"/tools/mitts_sim
 
 for extra in ${EXTRAS[@]+"${EXTRAS[@]}"}; do
@@ -42,4 +47,4 @@ for extra in ${EXTRAS[@]+"${EXTRAS[@]}"}; do
     "$BUILD"/tests/"$extra"
 done
 
-echo "asan: checkpoint/restore suites clean"
+echo "asan: checkpoint/restore and event-dispatch suites clean"

@@ -60,6 +60,13 @@ class L1Cache : public Clocked, public ckpt::Serializable
      */
     L1Result access(Addr addr, bool is_write, SeqNum seq, Tick now);
 
+    /** A load hit's latency elapsed (LoadComplete event): tell the
+     *  current client. */
+    void completeLoad(SeqNum seq, Tick now)
+    {
+        client_->loadComplete(seq, now);
+    }
+
     /** Fill response from the LLC for a previously sent miss. */
     void fill(const ReqPtr &req, Tick now);
 

@@ -1,6 +1,9 @@
 #include "cloud/scenario.hh"
 
+#include <cctype>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "trace/app_profile.hh"
@@ -22,6 +25,10 @@ std::uint64_t
 parseU64(const std::string &what, unsigned line,
          const std::string &v)
 {
+    // stoull accepts a leading '-' and negates modulo 2^64.
+    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])))
+        fail(what, line, "expected non-negative integer, got '" + v +
+                             "'");
     try {
         std::size_t pos = 0;
         const std::uint64_t r = std::stoull(v, &pos);
@@ -35,6 +42,16 @@ parseU64(const std::string &what, unsigned line,
     }
 }
 
+unsigned
+parseU32(const std::string &what, unsigned line,
+         const std::string &v)
+{
+    const std::uint64_t r = parseU64(what, line, v);
+    if (r > std::numeric_limits<unsigned>::max())
+        fail(what, line, "integer out of range: '" + v + "'");
+    return static_cast<unsigned>(r);
+}
+
 double
 parseF64(const std::string &what, unsigned line,
          const std::string &v)
@@ -44,6 +61,9 @@ parseF64(const std::string &what, unsigned line,
         const double r = std::stod(v, &pos);
         if (pos != v.size())
             fail(what, line, "trailing junk in number '" + v + "'");
+        // NaN would pass every range check in validateScenario.
+        if (!std::isfinite(r))
+            fail(what, line, "expected finite number, got '" + v + "'");
         return r;
     } catch (const ScenarioError &) {
         throw;
@@ -111,11 +131,9 @@ parseScenario(std::istream &in, const std::string &what)
         } else if (key == "seed") {
             sc.seed = parseU64(what, lineno, value);
         } else if (key == "sockets") {
-            sc.sockets =
-                static_cast<unsigned>(parseU64(what, lineno, value));
+            sc.sockets = parseU32(what, lineno, value);
         } else if (key == "cores_per_socket") {
-            sc.coresPerSocket =
-                static_cast<unsigned>(parseU64(what, lineno, value));
+            sc.coresPerSocket = parseU32(what, lineno, value);
         } else if (key == "window") {
             sc.windowCycles = parseU64(what, lineno, value);
         } else if (key == "duration") {
@@ -129,8 +147,7 @@ parseScenario(std::istream &in, const std::string &what)
         } else if (key == "diurnal_min") {
             sc.diurnalMin = parseF64(what, lineno, value);
         } else if (key == "max_tenants") {
-            sc.maxTenants =
-                static_cast<unsigned>(parseU64(what, lineno, value));
+            sc.maxTenants = parseU32(what, lineno, value);
         } else if (key == "profiles") {
             sc.profiles = splitCsv(value);
         } else if (key == "tier_weights") {

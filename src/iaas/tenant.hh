@@ -129,9 +129,9 @@ class AutoScaler : public Clocked, public ckpt::Serializable
 
     /**
      * Rule triggers/actions are closures and cannot be serialized;
-     * like System::eventFactory, the owner re-registers the same
-     * rules before loadState, which restores their cooldown clocks
-     * (and throws ckpt::Error on a rule-count mismatch).
+     * the owner re-registers the same rules before loadState, which
+     * restores their cooldown clocks (and throws ckpt::Error on a
+     * rule-count mismatch).
      */
     void saveState(ckpt::Writer &w) const override;
     void loadState(ckpt::Reader &r) override;

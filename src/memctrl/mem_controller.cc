@@ -283,47 +283,28 @@ MemController::scheduleChannel(unsigned channel, Tick now)
     invalidateChannel(channel);
 
     if (req->isDemand()) {
-        events_.schedule(done, completionCallback(req, done),
-                         EventDesc::memComplete(req));
+        events_.schedule(done, EventDesc::memComplete(std::move(req)));
     }
 }
 
-EventQueue::Callback
-MemController::completionCallback(ReqPtr req, Tick done)
+void
+MemController::complete(const ReqPtr &req, Tick done)
 {
-    MemScheduler *sched = sched_;
-    SharedLlc *llc = llc_;
-    auto *completed_ctr = &completed_;
-    const bool core_tracked =
-        req->core >= 0 && static_cast<std::size_t>(req->core) <
-                              completedPerCore_.size();
-    auto *per_core = core_tracked ? completedPerCore_[req->core]
-                                  : nullptr;
-    auto *per_core_lat = core_tracked
-                             ? latencyPerCore_[req->core]
-                             : nullptr;
-    auto *per_core_hist =
-        core_tracked && cfg_.latencyHistograms
-            ? latencyHistPerCore_[req->core]
-            : nullptr;
-    auto *total_lat = &totalLatency_;
-    return [req = std::move(req), done, sched, llc, completed_ctr,
-            per_core, per_core_lat, per_core_hist, total_lat] {
-        req->doneAt = done;
-        completed_ctr->inc();
-        if (per_core)
-            per_core->inc();
-        const auto lat = static_cast<double>(done - req->l1MissAt);
-        total_lat->sample(lat);
-        if (per_core_lat)
-            per_core_lat->sample(lat);
-        if (per_core_hist)
-            per_core_hist->sample(lat);
-        if (sched)
-            sched->onComplete(*req, done);
-        if (llc)
-            llc->fillFromMem(req, done);
-    };
+    req->doneAt = done;
+    completed_.inc();
+    const auto lat = static_cast<double>(done - req->l1MissAt);
+    totalLatency_.sample(lat);
+    if (req->core >= 0 && static_cast<std::size_t>(req->core) <
+                              completedPerCore_.size()) {
+        completedPerCore_[req->core]->inc();
+        latencyPerCore_[req->core]->sample(lat);
+        if (cfg_.latencyHistograms)
+            latencyHistPerCore_[req->core]->sample(lat);
+    }
+    if (sched_)
+        sched_->onComplete(*req, done);
+    if (llc_)
+        llc_->fillFromMem(req, done);
 }
 
 void

@@ -173,12 +173,9 @@ class MemController : public Clocked, public MemSink
      */
     void registerTelemetry(telemetry::Telemetry &t);
 
-    /**
-     * The completion event for a demand request whose DRAM burst ends
-     * at `done` (stat samples, scheduler notify, LLC fill). Exposed so
-     * a restored checkpoint can rebuild pending completion events.
-     */
-    EventQueue::Callback completionCallback(ReqPtr req, Tick done);
+    /** A demand request's DRAM burst ended at `done` (MemComplete
+     *  event): stat samples, scheduler notify, LLC fill. */
+    void complete(const ReqPtr &req, Tick done);
 
     /** Checkpoint queues, drain latches, FIFO, DRAM timing, stats. */
     void saveState(ckpt::Writer &w) const;

@@ -1,6 +1,8 @@
 #include "orchestrate/sweep_spec.hh"
 
+#include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "ckpt/config_hash.hh"
@@ -45,6 +47,10 @@ fail(const std::string &what, int line, const std::string &msg)
 std::uint64_t
 parseU64(const std::string &what, int line, const std::string &v)
 {
+    // stoull accepts a leading '-' and negates modulo 2^64.
+    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])))
+        fail(what, line, "expected non-negative integer, got '" + v +
+                             "'");
     try {
         std::size_t pos = 0;
         const unsigned long long n = std::stoull(v, &pos, 10);
@@ -56,6 +62,15 @@ parseU64(const std::string &what, int line, const std::string &v)
     } catch (const std::exception &) {
         fail(what, line, "bad number '" + v + "'");
     }
+}
+
+unsigned
+parseU32(const std::string &what, int line, const std::string &v)
+{
+    const std::uint64_t n = parseU64(what, line, v);
+    if (n > std::numeric_limits<unsigned>::max())
+        fail(what, line, "number out of range: '" + v + "'");
+    return static_cast<unsigned>(n);
 }
 
 std::vector<std::uint32_t>
@@ -270,11 +285,9 @@ parseSweep(std::istream &in, const std::string &what)
                 fail(what, lineno,
                      "objective must be throughput or fairness");
         } else if (key == "generations") {
-            spec.generations = static_cast<unsigned>(
-                parseU64(what, lineno, value));
+            spec.generations = parseU32(what, lineno, value);
         } else if (key == "population") {
-            spec.population = static_cast<unsigned>(
-                parseU64(what, lineno, value));
+            spec.population = parseU32(what, lineno, value);
         } else if (key == "ga-seed") {
             spec.gaSeed = parseU64(what, lineno, value);
         } else if (key == "prefilter") {

@@ -1,7 +1,11 @@
 /**
  * @file
- * Small delayed-callback queue for modelling fixed response latencies
- * (cache hit latency, wire delays) without per-cycle polling.
+ * Delayed-event queue for modelling fixed response latencies (cache
+ * hit latency, wire delays, DRAM bursts) without per-cycle polling.
+ * An event is a typed, serializable EventDesc; the queue hands each
+ * due descriptor to one registered EventDispatcher, so the same code
+ * runs an event whether it was scheduled live or restored from a
+ * checkpoint.
  */
 
 #ifndef MITTS_SIM_EVENT_QUEUE_HH
@@ -9,7 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,25 +26,20 @@ namespace mitts
 {
 
 /**
- * What a pending event *does*, in serializable form. Closures cannot
- * be checkpointed, so every event on the simulation fast path carries
- * one of these descriptors alongside its callback; on restore the
- * System rebuilds the callback from the descriptor (it knows which
- * component the event targets). Opaque events (tests, ad-hoc tools)
- * have no descriptor and make the queue non-checkpointable — saving
- * with one pending is an error, not silent data loss.
+ * What a pending event does. The kind names the response; the System
+ * knows which component handles each kind. Kind values are the
+ * checkpoint encoding (0 is retired and rejected on load).
  */
 struct EventDesc
 {
     enum class Kind : std::uint8_t
     {
-        Opaque = 0,       ///< bare closure; cannot be saved
-        LoadComplete = 1, ///< L1 hit latency -> core loadComplete
+        LoadComplete = 1, ///< L1 hit latency -> L1 client (the core)
         LlcFill = 2,      ///< LLC -> L1 fill response
         MemComplete = 3,  ///< DRAM burst done -> MC completion
     };
 
-    Kind kind = Kind::Opaque;
+    Kind kind;
     CoreId core = kNoCore; ///< LoadComplete: target core
     SeqNum seq = 0;        ///< LoadComplete: completing access
     ReqPtr req;            ///< LlcFill / MemComplete payload
@@ -48,39 +47,38 @@ struct EventDesc
     static EventDesc
     loadComplete(CoreId core, SeqNum seq)
     {
-        EventDesc d;
-        d.kind = Kind::LoadComplete;
-        d.core = core;
-        d.seq = seq;
-        return d;
+        return {Kind::LoadComplete, core, seq, {}};
     }
 
     static EventDesc
     llcFill(ReqPtr req)
     {
-        EventDesc d;
-        d.kind = Kind::LlcFill;
-        d.req = std::move(req);
-        return d;
+        return {Kind::LlcFill, kNoCore, 0, std::move(req)};
     }
 
     static EventDesc
     memComplete(ReqPtr req)
     {
-        EventDesc d;
-        d.kind = Kind::MemComplete;
-        d.req = std::move(req);
-        return d;
+        return {Kind::MemComplete, kNoCore, 0, std::move(req)};
     }
 };
 
+/** Runs due events; the owner of the queue registers one. */
+class EventDispatcher
+{
+  public:
+    virtual ~EventDispatcher() = default;
+    /** Run `ev`, which was scheduled for tick `when`. */
+    virtual void dispatch(const EventDesc &ev, Tick when) = 0;
+};
+
 /**
- * Min-heap of (tick, sequence, callback). Events scheduled for the same
- * tick fire in scheduling order, keeping the simulation deterministic.
- * Same-tick ordering survives a checkpoint round trip: events are
- * serialized in drain order (when, then scheduling sequence) and
- * renumbered densely on load, so the restored queue drains identically
- * even though the absolute sequence numbers differ.
+ * Min-heap of (tick, sequence, EventDesc). Events scheduled for the
+ * same tick fire in scheduling order, keeping the simulation
+ * deterministic. Same-tick ordering survives a checkpoint round trip:
+ * events are serialized in drain order (when, then scheduling
+ * sequence) and renumbered densely on load, so the restored queue
+ * drains identically even though the absolute sequence numbers differ.
  *
  * Scheduling into the past — `when` strictly below the tick of the
  * most recent runDue() — is a modelling bug: the event's cycle has
@@ -89,7 +87,7 @@ struct EventDesc
  * so it fires at the next opportunity instead of being lost below an
  * already-drained tick.
  *
- * Scheduling an event for the current tick from inside a callback
+ * Scheduling an event for the current tick from inside a dispatch
  * running under runDue(now) is well-defined: the new event fires in
  * the same drain, after all previously scheduled due events
  * (scheduling order is preserved by the sequence number).
@@ -97,21 +95,12 @@ struct EventDesc
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /** Register the handler of every due event (not owned). */
+    void setDispatcher(EventDispatcher *d) { dispatcher_ = d; }
 
-    /** Rebuilds a callback from its descriptor on restore. */
-    using Factory = std::function<Callback(const EventDesc &, Tick)>;
-
-    /** Schedule `cb` to run at absolute tick `when`. */
+    /** Schedule `ev` to run at absolute tick `when`. */
     void
-    schedule(Tick when, Callback cb)
-    {
-        schedule(when, std::move(cb), EventDesc{});
-    }
-
-    /** Schedule with a descriptor so the event survives checkpoints. */
-    void
-    schedule(Tick when, Callback cb, EventDesc desc)
+    schedule(Tick when, EventDesc ev)
     {
         if (when < horizon_) {
 #ifndef NDEBUG
@@ -120,8 +109,7 @@ class EventQueue
 #endif
             when = horizon_;
         }
-        heap_.push_back(
-            Event{when, nextSeq_++, std::move(cb), std::move(desc)});
+        heap_.push_back(Event{when, nextSeq_++, std::move(ev)});
         std::push_heap(heap_.begin(), heap_.end(), Event::later);
     }
 
@@ -131,11 +119,12 @@ class EventQueue
     {
         horizon_ = std::max(horizon_, now);
         while (!heap_.empty() && heap_.front().when <= now) {
+            MITTS_ASSERT(dispatcher_, "EventQueue has no dispatcher");
             std::pop_heap(heap_.begin(), heap_.end(), Event::later);
-            // Move out before pop so the callback can schedule events.
-            Callback cb = std::move(heap_.back().cb);
+            // Move out before pop so the handler can schedule events.
+            const Event e = std::move(heap_.back());
             heap_.pop_back();
-            cb();
+            dispatcher_->dispatch(e.desc, e.when);
         }
     }
 
@@ -149,23 +138,14 @@ class EventQueue
         return heap_.empty() ? kTickNever : heap_.front().when;
     }
 
-    /**
-     * Serialize pending events in drain order. Throws ckpt::Error if
-     * any pending event is Opaque (no descriptor to rebuild it from).
-     */
+    /** Serialize pending events in drain order. */
     void
     saveState(ckpt::Writer &w) const
     {
         std::vector<const Event *> ordered;
         ordered.reserve(heap_.size());
-        for (const auto &e : heap_) {
-            if (e.desc.kind == EventDesc::Kind::Opaque)
-                throw ckpt::Error(
-                    "cannot checkpoint an opaque event (scheduled "
-                    "without a descriptor) pending at tick " +
-                    std::to_string(e.when));
+        for (const auto &e : heap_)
             ordered.push_back(&e);
-        }
         std::sort(ordered.begin(), ordered.end(),
                   [](const Event *a, const Event *b) {
                       return a->when != b->when ? a->when < b->when
@@ -183,33 +163,34 @@ class EventQueue
     }
 
     /**
-     * Restore into an empty queue, rebuilding callbacks via `factory`.
-     * Events are renumbered 0..n-1 in drain order.
+     * Restore into an empty queue. Throws ckpt::Error on an unknown
+     * kind byte; `check` sees every descriptor and throws ckpt::Error
+     * for one whose target does not exist. Events are renumbered
+     * 0..n-1 in drain order.
      */
+    template <typename Check>
     void
-    loadState(ckpt::Reader &r, const Factory &factory)
+    loadState(ckpt::Reader &r, const Check &check)
     {
         MITTS_ASSERT(heap_.empty(),
                      "EventQueue::loadState on a non-empty queue");
         horizon_ = r.u64();
         const std::uint64_t n = r.u64();
-        heap_.clear();
         heap_.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
             const Tick when = r.u64();
-            EventDesc d;
-            d.kind = static_cast<EventDesc::Kind>(r.u8());
-            d.core = static_cast<CoreId>(r.i64());
-            d.seq = r.u64();
-            d.req = r.request();
-            if (d.kind == EventDesc::Kind::Opaque)
-                throw ckpt::Error("opaque event in checkpoint");
-            Callback cb = factory(d, when);
-            if (!cb)
+            // Braced initializers are evaluated left to right.
+            EventDesc d{static_cast<EventDesc::Kind>(r.u8()),
+                        static_cast<CoreId>(r.i64()), r.u64(),
+                        r.request()};
+            if (d.kind < EventDesc::Kind::LoadComplete ||
+                d.kind > EventDesc::Kind::MemComplete)
                 throw ckpt::Error(
-                    "event factory returned no callback");
-            heap_.push_back(Event{when, i, std::move(cb),
-                                  std::move(d)});
+                    "unknown event kind " +
+                    std::to_string(static_cast<int>(d.kind)) +
+                    " in checkpoint");
+            check(d);
+            heap_.push_back(Event{when, i, std::move(d)});
         }
         // Drain order is a valid heap order, but normalize anyway.
         std::make_heap(heap_.begin(), heap_.end(), Event::later);
@@ -221,7 +202,6 @@ class EventQueue
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
         EventDesc desc;
 
         /** Max-heap comparator inverted into a min-heap. */
@@ -237,6 +217,7 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
     /** Tick of the most recent runDue(); past-schedule clamp floor. */
     Tick horizon_ = 0;
+    EventDispatcher *dispatcher_ = nullptr;
 };
 
 } // namespace mitts

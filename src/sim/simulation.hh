@@ -89,7 +89,7 @@ class Simulation
     /** Current cycle (the cycle being executed during a tick). */
     Tick now() const { return now_; }
 
-    /** Delayed-callback queue shared by all components. */
+    /** Delayed-event queue shared by all components. */
     EventQueue &events() { return events_; }
 
     bool skipAhead() const { return cfg_.skipAhead; }
@@ -100,7 +100,7 @@ class Simulation
 
     /**
      * Checkpoint the kernel's own state. The event queue is handled
-     * separately by the System, which owns the callback factory.
+     * separately by the System, which dispatches its events.
      * cyclesSkipped_ is introspection-only and deliberately not part
      * of the bit-identity contract (skip and no-skip runs differ in
      * it by construction), but round-tripping it keeps a resumed run's
@@ -335,7 +335,7 @@ class Simulation
     // detlint-transient(derived claim cache; reset and re-polled on load)
     WakeWheel wheel_;
     std::vector<stats::Group *> statGroups_;
-    // detlint-transient(checkpointed by the System, which owns the event factory)
+    // detlint-transient(checkpointed by the System, which dispatches its events)
     EventQueue events_;
 };
 

@@ -43,6 +43,7 @@ schedulerName(SchedulerKind k)
 
 System::System(const SystemConfig &cfg) : cfg_(cfg), sim_(cfg_.sim)
 {
+    sim_.events().setDispatcher(this);
     MITTS_ASSERT(!cfg_.apps.empty(), "system needs at least one app");
 
     MITTS_ASSERT(cfg_.customProfiles.empty() ||
@@ -411,40 +412,20 @@ System::checkpointHash() const
     return ckpt::configHash(cfg_);
 }
 
-EventQueue::Factory
-System::eventFactory()
+void
+System::dispatch(const EventDesc &ev, Tick when)
 {
-    return [this](const EventDesc &d,
-                  Tick when) -> EventQueue::Callback {
-        switch (d.kind) {
-          case EventDesc::Kind::LoadComplete: {
-            if (d.core < 0 ||
-                static_cast<unsigned>(d.core) >= numCores_)
-                throw ckpt::Error("event core out of range");
-            Core *core = cores_[d.core].get();
-            const SeqNum seq = d.seq;
-            return [core, seq, when] {
-                core->loadComplete(seq, when);
-            };
-          }
-          case EventDesc::Kind::LlcFill: {
-            if (!d.req || d.req->core < 0 ||
-                static_cast<unsigned>(d.req->core) >= numCores_)
-                throw ckpt::Error("fill event request invalid");
-            L1Cache *l1 = l1s_[d.req->core].get();
-            const ReqPtr req = d.req;
-            return [l1, req, when] { l1->fill(req, when); };
-          }
-          case EventDesc::Kind::MemComplete: {
-            if (!d.req)
-                throw ckpt::Error("completion event without request");
-            return mc_->completionCallback(d.req, when);
-          }
-          case EventDesc::Kind::Opaque:
-            break;
-        }
-        throw ckpt::Error("opaque event in checkpoint");
-    };
+    switch (ev.kind) {
+      case EventDesc::Kind::LoadComplete:
+        l1s_[ev.core]->completeLoad(ev.seq, when);
+        return;
+      case EventDesc::Kind::LlcFill:
+        l1s_[ev.req->core]->fill(ev.req, when);
+        return;
+      case EventDesc::Kind::MemComplete:
+        mc_->complete(ev.req, when);
+        return;
+    }
 }
 
 void
@@ -663,10 +644,25 @@ System::restoreCheckpoint(const std::string &path)
     r.endSection();
 
     r.beginSection("events");
-    {
-        EventQueue::Factory factory = eventFactory();
-        sim_.events().loadState(r, factory);
-    }
+    sim_.events().loadState(r, [this](const EventDesc &ev) {
+        const auto inRange = [this](CoreId c) {
+            return c >= 0 && static_cast<unsigned>(c) < numCores_;
+        };
+        switch (ev.kind) {
+          case EventDesc::Kind::LoadComplete:
+            if (!inRange(ev.core))
+                throw ckpt::Error("event core out of range");
+            return;
+          case EventDesc::Kind::LlcFill:
+            if (!ev.req || !inRange(ev.req->core))
+                throw ckpt::Error("fill event request invalid");
+            return;
+          case EventDesc::Kind::MemComplete:
+            if (!ev.req)
+                throw ckpt::Error("completion event without request");
+            return;
+        }
+    });
     r.endSection();
 
     if (telemetry_) {

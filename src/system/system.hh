@@ -40,7 +40,7 @@ struct AppResult
     std::uint64_t memStallCycles = 0;
 };
 
-class System : public AppMonitor
+class System : public AppMonitor, private EventDispatcher
 {
   public:
     explicit System(const SystemConfig &cfg);
@@ -124,8 +124,7 @@ class System : public AppMonitor
      * Write a full-state snapshot to `path` (atomically: temp file +
      * rename). A run restored from it and a run that never stopped
      * produce byte-identical stats dumps, telemetry CSV and trace
-     * JSON. Throws ckpt::Error on unserializable state (e.g. a
-     * pending event scheduled without a descriptor) or I/O failure.
+     * JSON. Throws ckpt::Error on I/O failure.
      */
     void saveCheckpoint(const std::string &path);
 
@@ -161,7 +160,9 @@ class System : public AppMonitor
 
   private:
     void buildScheduler();
-    EventQueue::Factory eventFactory();
+
+    /** Route a due event to the component that handles its kind. */
+    void dispatch(const EventDesc &ev, Tick when) override;
 
     SystemConfig cfg_;
     unsigned numCores_ = 0;

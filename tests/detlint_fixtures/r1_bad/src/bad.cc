@@ -4,11 +4,6 @@
 #include <ctime>
 #include <random>
 
-struct Queue
-{
-    template <typename F> void schedule(long when, F cb);
-};
-
 unsigned long
 seedFromHost()
 {
@@ -17,10 +12,4 @@ seedFromHost()
     std::random_device rd;
     srand(static_cast<unsigned>(time(nullptr)));
     return rd() + static_cast<unsigned long>(rand());
-}
-
-void
-scheduleOpaque(Queue &q, int x)
-{
-    q.schedule(10, [x] { (void)x; });
 }

@@ -137,13 +137,22 @@ class RecordingClient : public L1Client
     std::vector<SeqNum> completed;
 };
 
-struct L1Fixture : public ::testing::Test
+/** Routes the L1's LoadComplete events back to it, as the System's
+ *  dispatcher does. */
+struct L1Fixture : public ::testing::Test, EventDispatcher
 {
     L1Fixture()
         : l1("l1.test", L1Config{}, 0, pool, events)
     {
+        events.setDispatcher(this);
         l1.setClient(&client);
         l1.setDownstream(&sink);
+    }
+
+    void
+    dispatch(const EventDesc &ev, Tick when) override
+    {
+        l1.completeLoad(ev.seq, when);
     }
 
     RequestPool pool;
@@ -174,6 +183,7 @@ TEST_F(L1Fixture, FillWakesLoadAndHitsAfter)
     EXPECT_EQ(l1.access(0x1000, false, 2, 60), L1Result::Hit);
     events.runDue(100);
     ASSERT_EQ(client.completed.size(), 2u);
+    EXPECT_EQ(client.completed[1], 2u);
     EXPECT_EQ(l1.hits(), 1u);
 }
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -259,45 +260,45 @@ TEST(CkptFormat, ConfigHashIgnoresKernelModeAndOutputPaths)
 
 // --- event queue --------------------------------------------------------
 
+/** Records the seq of every dispatched event. */
+struct SeqRecorder : EventDispatcher
+{
+    void
+    dispatch(const EventDesc &ev, Tick) override
+    {
+        fired.push_back(ev.seq);
+    }
+
+    std::vector<SeqNum> fired;
+};
+
 TEST(CkptEventQueue, SameTickOrderSurvivesRoundTrip)
 {
     EventQueue q;
     // Three same-tick events plus an earlier one, scheduled out of
-    // order; descriptors carry the identity the factory needs.
+    // order; the seq field tells them apart after the round trip.
     auto desc = [](SeqNum id) { return EventDesc::loadComplete(0, id); };
-    q.schedule(5, [] {}, desc(10));
-    q.schedule(5, [] {}, desc(11));
-    q.schedule(3, [] {}, desc(12));
-    q.schedule(5, [] {}, desc(13));
+    q.schedule(5, desc(10));
+    q.schedule(5, desc(11));
+    q.schedule(3, desc(12));
+    q.schedule(5, desc(13));
 
     ckpt::Writer w;
     w.beginSection("events");
     q.saveState(w);
     w.endSection();
 
-    std::vector<SeqNum> fired;
+    SeqRecorder rec;
     EventQueue q2;
-    EventQueue::Factory factory =
-        [&fired](const EventDesc &d, Tick) -> EventQueue::Callback {
-        return [&fired, seq = d.seq] { fired.push_back(seq); };
-    };
+    q2.setDispatcher(&rec);
     ckpt::Reader r(w.finish(0), 0);
     r.beginSection("events");
-    q2.loadState(r, factory);
+    q2.loadState(r, [](const EventDesc &) {});
     r.endSection();
 
     EXPECT_EQ(q2.size(), 4u);
     q2.runDue(10);
-    EXPECT_EQ(fired, (std::vector<SeqNum>{12, 10, 11, 13}));
-}
-
-TEST(CkptEventQueue, OpaquePendingEventFailsSave)
-{
-    EventQueue q;
-    q.schedule(4, [] {}); // no descriptor
-    ckpt::Writer w;
-    w.beginSection("events");
-    EXPECT_THROW(q.saveState(w), ckpt::Error);
+    EXPECT_EQ(rec.fired, (std::vector<SeqNum>{12, 10, 11, 13}));
 }
 
 // --- full system --------------------------------------------------------
@@ -464,6 +465,121 @@ TEST(CkptSystem, RejectsCorruptedCheckpointFile)
         EXPECT_THROW(b.restoreCheckpoint(path), ckpt::Error);
     }
     std::filesystem::remove(path);
+}
+
+// --- restore-time event checks -------------------------------------------
+
+SystemConfig
+eventCheckConfig()
+{
+    return SystemConfig::multiProgram({"gcc", "mcf"});
+}
+
+/**
+ * Checkpoint a short run, then rewrite the image so its events section
+ * holds exactly one pending event with the given raw kind byte and
+ * core and a null request. Every other section is copied verbatim.
+ */
+std::string
+checkpointWithEvent(std::uint8_t kind, CoreId core)
+{
+    const std::string path = tmpPath(
+        "mitts_event_" + std::to_string(kind) + "_" +
+        std::to_string(core) + ".ckpt");
+    System sys(eventCheckConfig());
+    sys.run(256);
+    sys.saveCheckpoint(path);
+
+    std::ifstream is(path, std::ios::binary);
+    const std::string img((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+    std::size_t pos = 0;
+    auto le = [&](unsigned bytes) {
+        std::uint64_t v = 0;
+        for (unsigned b = 0; b < bytes; ++b)
+            v |= std::uint64_t{static_cast<unsigned char>(
+                     img.at(pos + b))}
+                 << (8 * b);
+        pos += bytes;
+        return v;
+    };
+    pos = sizeof(ckpt::kMagic) + 4 + 8; // magic, version, config hash
+    const std::uint64_t sections = le(4);
+
+    ckpt::Writer w;
+    for (std::uint64_t i = 0; i < sections; ++i) {
+        const std::size_t name_len = le(4);
+        const std::string name = img.substr(pos, name_len);
+        pos += name_len;
+        const std::size_t len = le(8);
+        w.beginSection(name);
+        if (name == "events") {
+            w.u64(256); // drain horizon
+            w.u64(1);   // one pending event
+            w.u64(300); // when
+            w.u8(kind);
+            w.i64(core);
+            w.u64(7); // seq
+            w.request(nullptr);
+        } else {
+            for (std::size_t b = 0; b < len; ++b)
+                w.u8(static_cast<std::uint8_t>(img[pos + b]));
+        }
+        w.endSection();
+        pos += len + 4; // payload, payload CRC
+    }
+    w.writeFile(path, sys.checkpointHash());
+    return path;
+}
+
+void
+expectRestoreRejects(std::uint8_t kind, CoreId core)
+{
+    const std::string path = checkpointWithEvent(kind, core);
+    System sys(eventCheckConfig());
+    EXPECT_THROW(sys.restoreCheckpoint(path), ckpt::Error)
+        << "kind " << int{kind} << " core " << core;
+    std::filesystem::remove(path);
+}
+
+constexpr auto kLoadComplete =
+    static_cast<std::uint8_t>(EventDesc::Kind::LoadComplete);
+
+TEST(CkptRestoreEvents, SplicedValidEventRestores)
+{
+    // Control for the tests below: the rewritten image itself is
+    // sound, so their failures come from the event checks.
+    const std::string path = checkpointWithEvent(kLoadComplete, 1);
+    System sys(eventCheckConfig());
+    EXPECT_NO_THROW(sys.restoreCheckpoint(path));
+    EXPECT_EQ(sys.sim().events().size(), 1u);
+    std::filesystem::remove(path);
+}
+
+TEST(CkptRestoreEvents, RejectsRetiredKindZero)
+{
+    expectRestoreRejects(0, 0);
+}
+
+TEST(CkptRestoreEvents, RejectsUnknownKind)
+{
+    expectRestoreRejects(4, 0);
+}
+
+TEST(CkptRestoreEvents, RejectsLoadCompleteCoreOutOfRange)
+{
+    const auto cores =
+        static_cast<CoreId>(System(eventCheckConfig()).numCores());
+    expectRestoreRejects(kLoadComplete, cores);
+    expectRestoreRejects(kLoadComplete, -1);
+}
+
+TEST(CkptRestoreEvents, RejectsFillAndCompletionWithoutRequest)
+{
+    expectRestoreRejects(
+        static_cast<std::uint8_t>(EventDesc::Kind::LlcFill), 0);
+    expectRestoreRejects(
+        static_cast<std::uint8_t>(EventDesc::Kind::MemComplete), 0);
 }
 
 TEST(CkptSystem, CheckpointExtrasRideAlong)

@@ -108,6 +108,36 @@ TEST(CloudScenario, ErrorsCarryFileAndLine)
     EXPECT_THROW(parseText("autoscaler maybe\n"), ScenarioError);
 }
 
+TEST(CloudScenario, RejectsNegativeIntegers)
+{
+    // Would wrap to near 2^64 if negated modulo 2^64.
+    EXPECT_THROW(parseText("seed -1\n"), ScenarioError);
+    EXPECT_THROW(parseText("window -100\n"), ScenarioError);
+}
+
+TEST(CloudScenario, RejectsNonFiniteNumbers)
+{
+    // NaN fails every comparison, so no range check would catch it.
+    EXPECT_THROW(parseText("arrivals_per_window nan\n"), ScenarioError);
+    EXPECT_THROW(parseText("diurnal_min nan\n"), ScenarioError);
+    EXPECT_THROW(parseText("mean_residency_windows nan\n"),
+                 ScenarioError);
+    EXPECT_THROW(parseText("arrivals_per_window inf\n"),
+                 ScenarioError);
+    EXPECT_THROW(parseText("tier_weights 1,nan,1\n"), ScenarioError);
+}
+
+TEST(CloudScenario, RejectsIntegersThatOverflowUnsigned)
+{
+    // 2^32 + 1 would truncate to 1, a valid value.
+    EXPECT_THROW(parseText("sockets 4294967297\n"), ScenarioError);
+    EXPECT_THROW(parseText("cores_per_socket 4294967297\n"),
+                 ScenarioError);
+    EXPECT_THROW(parseText("max_tenants 4294967297\n"), ScenarioError);
+    EXPECT_EQ(parseText("max_tenants 4294967295\n").maxTenants,
+              4294967295u);
+}
+
 TEST(CloudScenario, ValidationRejectsInconsistentConfigs)
 {
     EXPECT_THROW(parseText("duration 150\nwindow 100\n"),

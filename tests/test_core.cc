@@ -31,8 +31,18 @@ class HoldSink : public MemSink
     std::vector<ReqPtr> held;
 };
 
-struct CoreFixture : public ::testing::Test
+/** Routes LoadComplete events to the L1, as the System's dispatcher
+ *  does. */
+struct CoreFixture : public ::testing::Test, EventDispatcher
 {
+    CoreFixture() { events.setDispatcher(this); }
+
+    void
+    dispatch(const EventDesc &ev, Tick when) override
+    {
+        l1->completeLoad(ev.seq, when);
+    }
+
     void
     build(std::vector<TraceOp> ops)
     {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the memory controller: queue capacity, scheduler
- * integration, completion callbacks, the global MITTS smoothing FIFO.
+ * integration, completion events, the global MITTS smoothing FIFO.
  */
 
 #include <gtest/gtest.h>
@@ -16,12 +16,21 @@ namespace mitts
 namespace
 {
 
-struct McFixture : public ::testing::Test
+/** Routes MemComplete events to the controller under test, as the
+ *  System's dispatcher does. */
+struct McFixture : public ::testing::Test, EventDispatcher
 {
     McFixture()
     {
         dram_cfg = DramConfig::ddr3_1333();
         dram_cfg.refreshEnabled = false;
+        events.setDispatcher(this);
+    }
+
+    void
+    dispatch(const EventDesc &ev, Tick when) override
+    {
+        mc->complete(ev.req, when);
     }
 
     void

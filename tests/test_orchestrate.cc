@@ -186,6 +186,32 @@ sweep bins  = 8:8:8:8:8:8:8:8:8:8,1024:0:0:0:0:0:0:0:0:0
     EXPECT_EQ(specToText(again), text);
 }
 
+SweepSpec
+parseSweepText(const std::string &text)
+{
+    std::istringstream in(text);
+    return parseSweep(in, "test");
+}
+
+TEST(SweepSpec, RejectsNegativeIntegers)
+{
+    // Would wrap to near 2^64 if negated modulo 2^64.
+    EXPECT_THROW(parseSweepText("instr = -100\n"), SweepError);
+    EXPECT_THROW(parseSweepText("seed = -1\n"), SweepError);
+    EXPECT_THROW(parseSweepText("sweep seed = 1,-2\n"), SweepError);
+}
+
+TEST(SweepSpec, RejectsIntegersThatOverflowUnsigned)
+{
+    // 2^32 + 1 would truncate to 1, a valid value.
+    EXPECT_THROW(parseSweepText("generations = 4294967297\n"),
+                 SweepError);
+    EXPECT_THROW(parseSweepText("population = 4294967297\n"),
+                 SweepError);
+    EXPECT_EQ(parseSweepText("population = 4294967295\n").population,
+              4294967295u);
+}
+
 TEST(SweepSpec, UnitOrderRowMajorLastAxisFastest)
 {
     const SweepSpec spec = smallGrid();

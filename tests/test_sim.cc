@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -21,53 +22,88 @@ namespace mitts
 namespace
 {
 
+/** Records every dispatched event; `onDispatch` (if set) runs inside
+ *  the dispatch, e.g. to schedule from a handler. */
+struct Recorder : EventDispatcher
+{
+    void
+    dispatch(const EventDesc &ev, Tick when) override
+    {
+        fired.push_back(ev.seq);
+        whens.push_back(when);
+        if (onDispatch)
+            onDispatch(ev);
+    }
+
+    std::vector<SeqNum> fired;
+    std::vector<Tick> whens;
+    std::function<void(const EventDesc &)> onDispatch;
+};
+
+EventDesc
+ev(SeqNum id)
+{
+    return EventDesc::loadComplete(0, id);
+}
+
+/** The queue accepts descriptors only: a closure cannot be scheduled,
+ *  so every pending event is checkpointable by construction. */
+template <typename T>
+concept Schedulable = requires(EventQueue &q, T t) {
+    q.schedule(Tick{0}, t);
+};
+static_assert(Schedulable<EventDesc>);
+static_assert(!Schedulable<std::function<void()>>);
+
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue q;
-    std::vector<int> fired;
-    q.schedule(10, [&] { fired.push_back(10); });
-    q.schedule(5, [&] { fired.push_back(5); });
-    q.schedule(7, [&] { fired.push_back(7); });
+    Recorder rec;
+    q.setDispatcher(&rec);
+    q.schedule(10, ev(10));
+    q.schedule(5, ev(5));
+    q.schedule(7, ev(7));
     q.runDue(10);
-    ASSERT_EQ(fired.size(), 3u);
-    EXPECT_EQ(fired[0], 5);
-    EXPECT_EQ(fired[1], 7);
-    EXPECT_EQ(fired[2], 10);
+    EXPECT_EQ(rec.fired, (std::vector<SeqNum>{5, 7, 10}));
+    EXPECT_EQ(rec.whens, (std::vector<Tick>{5, 7, 10}));
 }
 
 TEST(EventQueue, SameTickFifo)
 {
     EventQueue q;
-    std::vector<int> fired;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(3, [&fired, i] { fired.push_back(i); });
+    Recorder rec;
+    q.setDispatcher(&rec);
+    for (SeqNum i = 0; i < 5; ++i)
+        q.schedule(3, ev(i));
     q.runDue(3);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(fired[i], i);
+    EXPECT_EQ(rec.fired, (std::vector<SeqNum>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, DoesNotFireEarly)
 {
     EventQueue q;
-    bool fired = false;
-    q.schedule(100, [&] { fired = true; });
+    Recorder rec;
+    q.setDispatcher(&rec);
+    q.schedule(100, ev(1));
     q.runDue(99);
-    EXPECT_FALSE(fired);
+    EXPECT_TRUE(rec.fired.empty());
     EXPECT_EQ(q.nextEventTick(), 100u);
     q.runDue(100);
-    EXPECT_TRUE(fired);
+    EXPECT_EQ(rec.fired.size(), 1u);
 }
 
 TEST(EventQueue, CallbackMaySchedule)
 {
     EventQueue q;
-    int count = 0;
-    q.schedule(1, [&] {
-        ++count;
-        q.schedule(1, [&] { ++count; });
-    });
+    Recorder rec;
+    q.setDispatcher(&rec);
+    rec.onDispatch = [&](const EventDesc &e) {
+        if (e.seq == 1)
+            q.schedule(1, ev(2));
+    };
+    q.schedule(1, ev(1));
     q.runDue(5);
-    EXPECT_EQ(count, 2);
+    EXPECT_EQ(rec.fired, (std::vector<SeqNum>{1, 2}));
 }
 
 class TickCounter : public Clocked
@@ -131,7 +167,10 @@ TEST(Simulation, EventsRunBeforeComponentsInACycle)
 
     Obs obs(order);
     sim.add(&obs);
-    sim.events().schedule(0, [&] { order.push_back("event"); });
+    Recorder rec;
+    rec.onDispatch = [&](const EventDesc &) { order.push_back("event"); };
+    sim.events().setDispatcher(&rec);
+    sim.events().schedule(0, ev(1));
     sim.step();
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], "event");
@@ -143,28 +182,30 @@ TEST(Simulation, EventsRunBeforeComponentsInACycle)
 TEST(EventQueue, SameTickScheduleInsideDrainFiresInSameDrain)
 {
     EventQueue q;
-    std::vector<int> fired;
-    q.schedule(3, [&] {
-        fired.push_back(1);
-        q.schedule(3, [&] { fired.push_back(2); });
-    });
+    Recorder rec;
+    q.setDispatcher(&rec);
+    rec.onDispatch = [&](const EventDesc &e) {
+        if (e.seq == 1)
+            q.schedule(3, ev(2));
+    };
+    q.schedule(3, ev(1));
     q.runDue(3);
-    ASSERT_EQ(fired.size(), 2u);
-    EXPECT_EQ(fired[0], 1);
-    EXPECT_EQ(fired[1], 2);
+    EXPECT_EQ(rec.fired, (std::vector<SeqNum>{1, 2}));
+    EXPECT_EQ(rec.whens, (std::vector<Tick>{3, 3}));
 }
 
 #ifdef NDEBUG
 TEST(EventQueue, PastScheduleClampsToDrainHorizon)
 {
     EventQueue q;
+    Recorder rec;
+    q.setDispatcher(&rec);
     q.runDue(10);
-    bool fired = false;
-    q.schedule(5, [&] { fired = true; });
+    q.schedule(5, ev(1));
     // Clamped up to the horizon instead of being lost below it.
     EXPECT_EQ(q.nextEventTick(), 10u);
     q.runDue(10);
-    EXPECT_TRUE(fired);
+    EXPECT_EQ(rec.fired.size(), 1u);
 }
 #else
 TEST(EventQueueDeathTest, PastSchedulePanicsInDebug)
@@ -173,7 +214,7 @@ TEST(EventQueueDeathTest, PastSchedulePanicsInDebug)
         {
             EventQueue q;
             q.runDue(10);
-            q.schedule(5, [] {});
+            q.schedule(5, ev(1));
         },
         "scheduled in the past");
 }
@@ -247,10 +288,11 @@ TEST(SkipAhead, LandsExactlyOnPendingEvent)
     Simulation sim;
     Sleeper s(1000);
     sim.add(&s);
-    bool fired = false;
-    sim.events().schedule(40, [&] { fired = true; });
+    Recorder rec;
+    sim.events().setDispatcher(&rec);
+    sim.events().schedule(40, ev(1));
     sim.run(60);
-    EXPECT_TRUE(fired);
+    EXPECT_EQ(rec.whens, (std::vector<Tick>{40}));
     // Executed: cycle 0, the event cycle 40, nothing else.
     ASSERT_EQ(s.ticks.size(), 2u);
     EXPECT_EQ(s.ticks[1], 40u);
@@ -309,9 +351,11 @@ TEST(SkipAhead, RunUntilDrainsDueEventsBeforePredicate)
     Simulation sim;
     Sleeper s(1000);
     sim.add(&s);
-    bool flag = false;
-    sim.events().schedule(50, [&] { flag = true; });
-    const bool hit = sim.runUntil([&] { return flag; }, 200);
+    Recorder rec;
+    sim.events().setDispatcher(&rec);
+    sim.events().schedule(50, ev(1));
+    const bool hit =
+        sim.runUntil([&] { return !rec.fired.empty(); }, 200);
     EXPECT_TRUE(hit);
     // The predicate observes the event on the cycle it lands on.
     EXPECT_EQ(sim.now(), 50u);

@@ -5,14 +5,14 @@ rule's behavior changes, so stale cached findings can never leak into
 a run with different rules.
 """
 
-RULESET_VERSION = "detlint-2.0"
+RULESET_VERSION = "detlint-2.1"
 
 RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
          "R9", "R10", "R11")
 
 RULE_DOCS = {
-    "R1": "banned nondeterminism sources (wall clocks, rand, opaque "
-          "scheduled lambdas)",
+    "R1": "banned nondeterminism sources (wall clocks, rand, "
+          "random_device)",
     "R2": "iteration over unordered containers feeding state",
     "R3": "comparison/hashing/keying on raw pointer values",
     "R4": "Clocked subclasses with state must implement the full "

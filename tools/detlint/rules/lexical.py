@@ -26,7 +26,6 @@ R1_BANNED = [
     (re.compile(r"\brandom_device\b"),
      "std::random_device; use mitts::Random (seeded, checkpointable)"),
 ]
-LAMBDA_RE = re.compile(r"\[[^\[\]]*\]\s*(?:\([^)]*\))?\s*(?:mutable\s*)?\{")
 
 
 def check_r1(path, code, report):
@@ -34,17 +33,6 @@ def check_r1(path, code, report):
         for m in pat.finditer(code):
             report("R1", line_of(code, m.start()),
                    "banned nondeterminism source: %s" % what)
-    # Opaque lambdas scheduled into the EventQueue: a closure without
-    # an EventDesc cannot survive a checkpoint.
-    for m in re.finditer(r"\bschedule\s*\(", code):
-        end = balanced_span(code, m.end() - 1)
-        if end < 0:
-            continue
-        call = code[m.start():end]
-        if LAMBDA_RE.search(call) and "EventDesc" not in call:
-            report("R1", line_of(code, m.start()),
-                   "lambda scheduled into EventQueue without an "
-                   "EventDesc; opaque events cannot be checkpointed")
 
 
 # --------------------------------------------------------------- R2
