@@ -5,23 +5,27 @@
 namespace mitts::stats
 {
 
-namespace
-{
-
-/** Minimal JSON string escaping (names are ASCII identifiers). */
 std::string
 jsonEscape(const std::string &s)
 {
+    static constexpr char kHex[] = "0123456789abcdef";
     std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
+    out.reserve(s.size());
+    for (const char c : s) {
+        const auto u = static_cast<unsigned char>(c);
+        if (c == '"' || c == '\\') {
             out.push_back('\\');
-        out.push_back(c);
+            out.push_back(c);
+        } else if (u < 0x20) {
+            out += "\\u00";
+            out.push_back(kHex[u >> 4]);
+            out.push_back(kHex[u & 0xf]);
+        } else {
+            out.push_back(c);
+        }
     }
     return out;
 }
-
-} // namespace
 
 void
 exportJson(std::ostream &os, const std::vector<const Group *> &groups)

@@ -9,12 +9,20 @@
 #define MITTS_BASE_STATS_EXPORT_HH
 
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "base/stats.hh"
 
 namespace mitts::stats
 {
+
+/**
+ * `s` as the body of a JSON string literal: `"` and `\` are
+ * backslash-escaped and control characters become `\u00XX`; every
+ * other byte (UTF-8 included) passes through.
+ */
+std::string jsonEscape(const std::string &s);
 
 /** Write groups as a JSON object keyed by group name. */
 void exportJson(std::ostream &os,

@@ -12,126 +12,112 @@ CacheArray::CacheArray(std::size_t size_bytes, unsigned assoc)
     const std::size_t num_sets = lines / assoc;
     MITTS_ASSERT(isPowerOf2(num_sets), "set count must be a power of 2");
     setMask_ = num_sets - 1;
-    sets_.assign(num_sets, Set(assoc));
+    tagShift_ = setShift_ + floorLog2(num_sets);
+    key_.assign(lines, 0);
+    dirty_.assign(lines, 0);
+    lastUse_.assign(lines, 0);
 }
 
 std::size_t
-CacheArray::setIndex(Addr block_addr) const
-{
-    return (block_addr >> setShift_) & setMask_;
-}
-
-std::uint64_t
-CacheArray::tagOf(Addr block_addr) const
-{
-    return (block_addr >> setShift_) >> floorLog2(setMask_ + 1);
-}
-
-CacheArray::Line *
-CacheArray::findLine(Addr block_addr)
-{
-    const std::uint64_t tag = tagOf(block_addr);
-    for (auto &line : sets_[setIndex(block_addr)]) {
-        if (line.valid && line.tag == tag)
-            return &line;
-    }
-    return nullptr;
-}
-
-const CacheArray::Line *
 CacheArray::findLine(Addr block_addr) const
 {
-    return const_cast<CacheArray *>(this)->findLine(block_addr);
+    const std::uint64_t key = (tagOf(block_addr) << 1) | 1;
+    const std::size_t base = setBase(block_addr);
+    for (std::size_t i = base; i < base + assoc_; ++i) {
+        if (key_[i] == key)
+            return i;
+    }
+    return kNoLine;
 }
 
 bool
 CacheArray::contains(Addr block_addr) const
 {
-    return findLine(block_addr) != nullptr;
+    return findLine(block_addr) != kNoLine;
 }
 
 bool
-CacheArray::touch(Addr block_addr)
+CacheArray::touch(Addr block_addr, bool make_dirty)
 {
-    Line *line = findLine(block_addr);
-    if (!line)
+    const std::size_t i = findLine(block_addr);
+    if (i == kNoLine)
         return false;
-    line->lastUse = ++useClock_;
+    lastUse_[i] = ++useClock_;
+    if (make_dirty)
+        dirty_[i] = 1;
     return true;
 }
 
 void
 CacheArray::markDirty(Addr block_addr)
 {
-    Line *line = findLine(block_addr);
-    MITTS_ASSERT(line, "markDirty on absent line");
-    line->dirty = true;
+    const std::size_t i = findLine(block_addr);
+    MITTS_ASSERT(i != kNoLine, "markDirty on absent line");
+    dirty_[i] = 1;
 }
 
 bool
 CacheArray::isDirty(Addr block_addr) const
 {
-    const Line *line = findLine(block_addr);
-    return line && line->dirty;
+    const std::size_t i = findLine(block_addr);
+    return i != kNoLine && dirty_[i];
 }
 
 Victim
 CacheArray::insert(Addr block_addr, bool dirty)
 {
     MITTS_ASSERT(!contains(block_addr), "double insert");
-    Set &set = sets_[setIndex(block_addr)];
+    const std::size_t base = setBase(block_addr);
+    const std::size_t end = base + assoc_;
 
-    Line *slot = nullptr;
-    for (auto &line : set) {
-        if (!line.valid) {
-            slot = &line;
+    std::size_t slot = kNoLine;
+    for (std::size_t i = base; i < end; ++i) {
+        if (!(key_[i] & 1)) {
+            slot = i;
             break;
         }
     }
 
     Victim victim;
-    if (!slot) {
-        // Evict true-LRU way.
-        slot = &set[0];
-        for (auto &line : set) {
-            if (line.lastUse < slot->lastUse)
-                slot = &line;
+    if (slot == kNoLine) {
+        // Evict true-LRU way (the first of equal ages).
+        slot = base;
+        for (std::size_t i = base + 1; i < end; ++i) {
+            if (lastUse_[i] < lastUse_[slot])
+                slot = i;
         }
         victim.valid = true;
-        victim.dirty = slot->dirty;
-        const std::uint64_t set_bits = floorLog2(setMask_ + 1);
+        victim.dirty = dirty_[slot] != 0;
         victim.blockAddr =
-            ((slot->tag << set_bits) |
-             (setIndex(block_addr) & setMask_))
-            << setShift_;
+            ((key_[slot] >> 1) << tagShift_) |
+            (block_addr & (setMask_ << setShift_));
     }
 
-    slot->valid = true;
-    slot->dirty = dirty;
-    slot->tag = tagOf(block_addr);
-    slot->lastUse = ++useClock_;
+    key_[slot] = (tagOf(block_addr) << 1) | 1;
+    dirty_[slot] = dirty;
+    lastUse_[slot] = ++useClock_;
     return victim;
 }
 
 void
 CacheArray::invalidate(Addr block_addr)
 {
-    if (Line *line = findLine(block_addr))
-        line->valid = false;
+    // The stale tag stays (checkpoints carry it).
+    const std::size_t i = findLine(block_addr);
+    if (i != kNoLine)
+        key_[i] &= ~std::uint64_t{1};
 }
 
 void
 CacheArray::saveState(ckpt::Writer &w) const
 {
-    w.u64(sets_.size());
+    w.u64(numSets());
     w.u64(assoc_);
-    for (const auto &set : sets_) {
-        for (const auto &line : set) {
-            w.b(line.valid);
-            w.b(line.dirty);
-            w.u64(line.tag);
-            w.u64(line.lastUse);
-        }
+    for (std::size_t i = 0; i < key_.size(); ++i) {
+        w.b(key_[i] & 1);
+        w.b(dirty_[i] != 0);
+        w.u64(key_[i] >> 1);
+        w.u64(lastUse_[i]);
     }
     w.u64(useClock_);
 }
@@ -139,15 +125,17 @@ CacheArray::saveState(ckpt::Writer &w) const
 void
 CacheArray::loadState(ckpt::Reader &r)
 {
-    if (r.u64() != sets_.size() || r.u64() != assoc_)
+    if (r.u64() != numSets() || r.u64() != assoc_)
         throw ckpt::Error("cache array geometry mismatch");
-    for (auto &set : sets_) {
-        for (auto &line : set) {
-            line.valid = r.b();
-            line.dirty = r.b();
-            line.tag = r.u64();
-            line.lastUse = r.u64();
-        }
+    for (std::size_t i = 0; i < key_.size(); ++i) {
+        const bool valid = r.b();
+        dirty_[i] = r.b();
+        const std::uint64_t tag = r.u64();
+        // A real tag has tagShift_ fewer bits than an address.
+        if (tag >> (64 - tagShift_) != 0)
+            throw ckpt::Error("cache tag out of range");
+        key_[i] = (tag << 1) | valid;
+        lastUse_[i] = r.u64();
     }
     useClock_ = r.u64();
 }

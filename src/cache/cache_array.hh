@@ -28,6 +28,10 @@ struct Victim
 /**
  * Tags only — the simulator never models data contents. Addresses are
  * block addresses (low 6 bits zero).
+ *
+ * Lines are stored flat, one column per field, line `set * assoc +
+ * way`: a probe scans `assoc` adjacent words of `(tag << 1) | valid`,
+ * so one compare matches both the tag and the valid bit.
  */
 class CacheArray
 {
@@ -37,8 +41,11 @@ class CacheArray
     /** Probe without updating replacement state. */
     bool contains(Addr block_addr) const;
 
-    /** Probe and update LRU on hit. @return true on hit. */
-    bool touch(Addr block_addr);
+    /**
+     * Probe and update LRU on hit; a hit also sets the dirty bit when
+     * `make_dirty`. @return true on hit.
+     */
+    bool touch(Addr block_addr, bool make_dirty = false);
 
     /** Set the dirty bit (line must be present). */
     void markDirty(Addr block_addr);
@@ -55,39 +62,40 @@ class CacheArray
     /** Remove a line if present (back-invalidation). */
     void invalidate(Addr block_addr);
 
-    std::size_t numSets() const { return sets_.size(); }
+    std::size_t numSets() const { return setMask_ + 1; }
     unsigned assoc() const { return assoc_; }
-    std::size_t sizeBytes() const
-    {
-        return sets_.size() * assoc_ * kBlockBytes;
-    }
+    std::size_t sizeBytes() const { return key_.size() * kBlockBytes; }
 
     /** Checkpoint every tag/LRU bit (geometry is construction-time). */
     void saveState(ckpt::Writer &w) const;
     void loadState(ckpt::Reader &r);
 
   private:
-    struct Line
+    static constexpr std::size_t kNoLine = ~std::size_t{0};
+
+    /** First line of the set `block_addr` maps to. */
+    std::size_t
+    setBase(Addr block_addr) const
     {
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-    };
-
-    using Set = std::vector<Line>;
-
-    std::size_t setIndex(Addr block_addr) const;
-    std::uint64_t tagOf(Addr block_addr) const;
-    Line *findLine(Addr block_addr);
-    const Line *findLine(Addr block_addr) const;
+        return ((block_addr >> setShift_) & setMask_) * assoc_;
+    }
+    std::uint64_t
+    tagOf(Addr block_addr) const
+    {
+        return block_addr >> tagShift_;
+    }
+    /** Line index holding `block_addr`, or kNoLine. */
+    std::size_t findLine(Addr block_addr) const;
 
     unsigned assoc_;
     // detlint-transient(derived from geometry at construction)
     unsigned setShift_;   ///< log2(block size)
     // detlint-transient(derived from geometry at construction)
+    unsigned tagShift_;   ///< setShift_ + log2(set count)
     std::uint64_t setMask_;
-    std::vector<Set> sets_;
+    std::vector<std::uint64_t> key_;     ///< (tag << 1) | valid
+    std::vector<std::uint8_t> dirty_;
+    std::vector<std::uint64_t> lastUse_; ///< useClock_ at last touch
     std::uint64_t useClock_ = 0;
 };
 

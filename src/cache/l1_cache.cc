@@ -26,11 +26,9 @@ L1Cache::access(Addr addr, bool is_write, SeqNum seq, Tick now)
 {
     const Addr block = addr & ~static_cast<Addr>(kBlockBytes - 1);
 
-    if (array_.touch(block)) {
+    if (array_.touch(block, is_write)) {
         hits_.inc();
-        if (is_write) {
-            array_.markDirty(block);
-        } else if (client_) {
+        if (!is_write && client_) {
             events_.schedule(now + cfg_.hitLatency,
                              EventDesc::loadComplete(core_, seq));
         }

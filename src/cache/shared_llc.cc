@@ -145,9 +145,7 @@ SharedLlc::processBank(Bank &bank, Tick now)
 
     if (req->op == MemOp::Writeback) {
         // L1 dirty eviction: install/refresh the line as dirty.
-        if (array_.touch(block)) {
-            array_.markDirty(block);
-        } else {
+        if (!array_.touch(block, true)) {
             Victim v = array_.insert(block, true);
             if (v.valid && v.dirty) {
                 writebacks_.inc();

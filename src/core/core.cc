@@ -1,5 +1,7 @@
 #include "core/core.hh"
 
+#include <bit>
+
 #include "base/logging.hh"
 #include "telemetry/telemetry.hh"
 
@@ -9,7 +11,8 @@ namespace mitts
 Core::Core(std::string name, CoreId id, const CoreConfig &cfg,
            TraceSource *trace, L1Cache *l1)
     : Clocked(std::move(name)), cfg_(cfg), id_(id), trace_(trace),
-      l1_(l1),
+      l1_(l1), window_(std::bit_ceil(std::size_t{cfg.windowSize})),
+      mask_(window_.size() - 1),
       stats_(this->name()),
       instructions_(stats_.addCounter("instructions")),
       memStalls_(stats_.addCounter("mem_stall_cycles")),
@@ -47,7 +50,7 @@ Core::tick(Tick now)
             idle_ = IdleState::ChaseStall;
         else if (l1_blocked)
             idle_ = IdleState::L1Blocked;
-        else if (window_.size() >= cfg_.windowSize)
+        else if (count_ >= cfg_.windowSize)
             idle_ = IdleState::RobStall;
     }
 }
@@ -95,7 +98,7 @@ Core::onFastForward(Tick from, Tick to)
     // have retired), which is exactly retire()'s stall condition. The
     // window is only empty when the L1 blocks the first outstanding
     // miss (stores complete at dispatch and can saturate MSHRs alone).
-    if (!window_.empty())
+    if (count_ != 0)
         memStalls_.inc(cycles);
     if (idle_ == IdleState::ChaseStall)
         memDepStalls_ += cycles;
@@ -109,14 +112,12 @@ unsigned
 Core::retire(Tick now)
 {
     unsigned retired = 0;
-    while (retired < cfg_.width && !window_.empty() &&
-           window_.front().done) {
-        window_.pop_front();
-        instructions_.inc();
+    while (retired < cfg_.width && retired < count_ && at(retired).done)
         ++retired;
-    }
-    const bool mem_stalled =
-        retired == 0 && !window_.empty() && window_.front().isMem;
+    head_ = (head_ + retired) & mask_;
+    count_ -= retired;
+    instructions_.inc(retired);
+    const bool mem_stalled = retired == 0 && count_ != 0 && at(0).isMem;
     if (mem_stalled)
         memStalls_.inc();
     if (traceWriter_) {
@@ -153,7 +154,7 @@ Core::registerTelemetry(telemetry::Telemetry &t)
     });
     probes_.add(prefix + "window_occupancy", ProbeKind::Gauge,
                 [this](Tick) {
-                    return static_cast<double>(window_.size());
+                    return static_cast<double>(count_);
                 });
     if (t.trace()) {
         traceWriter_ = t.trace();
@@ -165,8 +166,7 @@ unsigned
 Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
 {
     unsigned dispatched = 0;
-    while (dispatched < cfg_.width &&
-           window_.size() < cfg_.windowSize) {
+    while (dispatched < cfg_.width && count_ < cfg_.windowSize) {
         if (!havePendingOp_) {
             pendingOp_ = trace_->next();
             gapLeft_ = pendingOp_.gap;
@@ -179,7 +179,8 @@ Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
             if (nonMemBudget_ < 1.0)
                 break;
             nonMemBudget_ -= 1.0;
-            window_.push_back(WindowEntry{nextSeq_++, true, false});
+            at(count_++) = WindowEntry{true, false};
+            ++nextSeq_;
             --gapLeft_;
             ++dispatched;
             continue;
@@ -215,7 +216,7 @@ Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
         // Stores complete into the write buffer immediately; loads
         // wait for loadComplete (both on hits and fills).
         const bool done = pendingOp_.isWrite;
-        window_.push_back(WindowEntry{seq, done, true});
+        at(count_++) = WindowEntry{done, true};
         havePendingOp_ = false;
         ++dispatched;
     }
@@ -225,11 +226,11 @@ Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
 void
 Core::saveState(ckpt::Writer &w) const
 {
-    w.u64(window_.size());
-    for (const auto &e : window_) {
-        w.u64(e.seq);
-        w.b(e.done);
-        w.b(e.isMem);
+    w.u64(count_);
+    for (std::size_t i = 0; i < count_; ++i) {
+        w.u64(headSeq() + i);
+        w.b(at(i).done);
+        w.b(at(i).isMem);
     }
     w.u64(nextSeq_);
     w.f64(nonMemBudget_);
@@ -252,16 +253,28 @@ Core::saveState(ckpt::Writer &w) const
 void
 Core::loadState(ckpt::Reader &r)
 {
-    window_.clear();
     const std::uint64_t n = r.u64();
+    if (n > cfg_.windowSize)
+        throw ckpt::Error("core window of " + std::to_string(n) +
+                          " entries exceeds its " +
+                          std::to_string(cfg_.windowSize) + " slots");
+    head_ = 0;
+    count_ = static_cast<std::size_t>(n);
+    SeqNum first = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-        WindowEntry e;
-        e.seq = r.u64();
-        e.done = r.b();
-        e.isMem = r.b();
-        window_.push_back(e);
+        const SeqNum seq = r.u64();
+        if (i == 0)
+            first = seq;
+        else if (seq != first + i)
+            throw ckpt::Error("core window sequence numbers are not "
+                              "consecutive");
+        window_[i].done = r.b();
+        window_[i].isMem = r.b();
     }
     nextSeq_ = r.u64();
+    if (count_ != 0 && first + count_ != nextSeq_)
+        throw ckpt::Error("core window does not end at the last "
+                          "dispatched instruction");
     nonMemBudget_ = r.f64();
     lastLoadSeq_ = r.u64();
     lastChaseSeq_ = r.u64();
@@ -289,27 +302,25 @@ Core::prevLoadDone() const
         lastChaseSeq_ ? lastChaseSeq_ : lastLoadSeq_;
     if (producer == 0)
         return true; // no load issued yet
-    if (window_.empty() || producer < window_.front().seq)
+    if (count_ == 0 || producer < headSeq())
         return true; // already retired
-    const std::size_t idx =
-        static_cast<std::size_t>(producer - window_.front().seq);
-    return idx >= window_.size() || window_[idx].done;
+    const std::size_t idx = static_cast<std::size_t>(producer - headSeq());
+    return idx >= count_ || at(idx).done;
 }
 
 void
 Core::loadComplete(SeqNum seq, Tick now)
 {
     (void)now;
-    if (window_.empty())
+    if (count_ == 0)
         return;
-    const SeqNum head = window_.front().seq;
+    const SeqNum head = headSeq();
     if (seq < head)
         return; // already retired (cannot happen for loads)
     const std::size_t idx = static_cast<std::size_t>(seq - head);
-    MITTS_ASSERT(idx < window_.size(),
-                 "loadComplete for unknown window entry");
-    MITTS_ASSERT(window_[idx].isMem, "completion for non-mem entry");
-    window_[idx].done = true;
+    MITTS_ASSERT(idx < count_, "loadComplete for unknown window entry");
+    MITTS_ASSERT(at(idx).isMem, "completion for non-mem entry");
+    at(idx).done = true;
 }
 
 } // namespace mitts

@@ -14,7 +14,7 @@
 #define MITTS_CORE_CORE_HH
 
 #include <algorithm>
-#include <deque>
+#include <vector>
 
 #include "base/stats.hh"
 #include "cache/interfaces.hh"
@@ -113,9 +113,11 @@ class Core : public Clocked, public L1Client,
     void loadState(ckpt::Reader &r) override;
 
   private:
+    /** A window slot. Its sequence number is implicit: the window
+     *  holds the last `count_` dispatched instructions, so slot i
+     *  (from the head) is instruction nextSeq_ - count_ + i. */
     struct WindowEntry
     {
-        SeqNum seq;
         bool done;
         bool isMem;
     };
@@ -141,6 +143,15 @@ class Core : public Clocked, public L1Client,
     unsigned dispatch(Tick now, bool &chase_wait, bool &l1_blocked);
     bool prevLoadDone() const;
 
+    /** Window slot `i` positions behind the head (oldest). */
+    WindowEntry &at(std::size_t i) { return window_[(head_ + i) & mask_]; }
+    const WindowEntry &
+    at(std::size_t i) const
+    {
+        return window_[(head_ + i) & mask_];
+    }
+    SeqNum headSeq() const { return nextSeq_ - count_; }
+
     // detlint-transient(construction-time config; never mutated after build)
     CoreConfig cfg_;
     // detlint-transient(immutable core id)
@@ -148,7 +159,13 @@ class Core : public Clocked, public L1Client,
     TraceSource *trace_;
     L1Cache *l1_;
 
-    std::deque<WindowEntry> window_;
+    /** Instruction window: a power-of-two ring of at least
+     *  windowSize slots holding count_ entries from head_. */
+    std::vector<WindowEntry> window_;
+    // detlint-transient(derived from windowSize at construction)
+    std::size_t mask_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
     SeqNum nextSeq_ = 1;
     double nonMemBudget_ = 0.0; ///< compute-IPC accumulator
     SeqNum lastLoadSeq_ = 0;  ///< most recent load of any kind

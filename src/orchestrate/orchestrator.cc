@@ -19,6 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "base/stats_export.hh"
 #include "orchestrate/frame.hh"
 #include "orchestrate/journal.hh"
 #include "orchestrate/result_cache.hh"
@@ -483,7 +484,7 @@ runGrid(const SweepSpec &spec, const OrchestratorOptions &opts)
     writeFileAtomic(opts.outDir + "/results.txt", merged_os.str());
 
     std::ostringstream js;
-    js << "{\n  \"name\": \"" << spec.name << "\",\n"
+    js << "{\n  \"name\": \"" << stats::jsonEscape(spec.name) << "\",\n"
        << "  \"mode\": \"grid\",\n"
        << "  \"units\": " << n << ",\n";
     auto metric_array = [&](const char *field) {
@@ -617,7 +618,7 @@ runTune(const SweepSpec &spec, const OrchestratorOptions &opts)
     writeFileAtomic(opts.outDir + "/results.txt", os.str());
 
     std::ostringstream js;
-    js << "{\n  \"name\": \"" << spec.name << "\",\n"
+    js << "{\n  \"name\": \"" << stats::jsonEscape(spec.name) << "\",\n"
        << "  \"mode\": \"tune\",\n"
        << "  \"best_fitness\": " << fmtDouble(best.ga.bestFitness)
        << ",\n"

@@ -12,6 +12,8 @@
 #define MITTS_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -73,12 +75,31 @@ class EventDispatcher
 };
 
 /**
- * Min-heap of (tick, sequence, EventDesc). Events scheduled for the
- * same tick fire in scheduling order, keeping the simulation
- * deterministic. Same-tick ordering survives a checkpoint round trip:
- * events are serialized in drain order (when, then scheduling
- * sequence) and renumbered densely on load, so the restored queue
- * drains identically even though the absolute sequence numbers differ.
+ * Calendar queue of (tick, sequence, EventDesc). Events scheduled for
+ * the same tick fire in scheduling order, keeping the simulation
+ * deterministic.
+ *
+ * Layout. Event delays are short (L1 hit latency, LLC plus NoC route,
+ * DRAM burst), so near events live in a ring of kRing one-tick
+ * buckets covering [base, base + kRing): the bucket of tick t is
+ * `t & (kRing - 1)`, each bucket is a FIFO vector, and one occupancy
+ * word finds the earliest occupied bucket with a rotate and a
+ * count-trailing-zeros. Events at or beyond base + kRing go to a
+ * small (tick, sequence) min-heap. `base` only moves forward: to the
+ * tick being drained, and to the drain horizon once a drain is done,
+ * so every ring event stays inside the window and no two pending
+ * ticks share a bucket.
+ *
+ * Same-tick order. Within a tick, far-heap events drain before ring
+ * events. That is scheduling order: an event for tick T goes to the
+ * far heap only while T >= base + kRing, and since base never moves
+ * back, every far event for T was scheduled before any ring event
+ * for T. Ring buckets are FIFO and the heap orders by sequence.
+ *
+ * Checkpoints. Pending events are serialized in drain order (when,
+ * then scheduling sequence) and renumbered densely on load, so the
+ * restored queue drains identically even though the absolute
+ * sequence numbers (and the ring/heap split) differ.
  *
  * Scheduling into the past — `when` strictly below the tick of the
  * most recent runDue() — is a modelling bug: the event's cycle has
@@ -89,12 +110,14 @@ class EventDispatcher
  *
  * Scheduling an event for the current tick from inside a dispatch
  * running under runDue(now) is well-defined: the new event fires in
- * the same drain, after all previously scheduled due events
- * (scheduling order is preserved by the sequence number).
+ * the same drain, after all previously scheduled due events.
  */
 class EventQueue
 {
   public:
+    /** Ticks covered by the ring (one bucket per tick). */
+    static constexpr Tick kRing = 64;
+
     /** Register the handler of every due event (not owned). */
     void setDispatcher(EventDispatcher *d) { dispatcher_ = d; }
 
@@ -109,8 +132,7 @@ class EventQueue
 #endif
             when = horizon_;
         }
-        heap_.push_back(Event{when, nextSeq_++, std::move(ev)});
-        std::push_heap(heap_.begin(), heap_.end(), Event::later);
+        place(Event{when, nextSeq_++, std::move(ev)});
     }
 
     /** Run all events with tick <= now (events may schedule more). */
@@ -118,24 +140,57 @@ class EventQueue
     runDue(Tick now)
     {
         horizon_ = std::max(horizon_, now);
-        while (!heap_.empty() && heap_.front().when <= now) {
+        for (Tick t = nextEventTick(); t <= now; t = nextEventTick()) {
             MITTS_ASSERT(dispatcher_, "EventQueue has no dispatcher");
-            std::pop_heap(heap_.begin(), heap_.end(), Event::later);
-            // Move out before pop so the handler can schedule events.
-            const Event e = std::move(heap_.back());
-            heap_.pop_back();
-            dispatcher_->dispatch(e.desc, e.when);
+            // t is the earliest pending tick, so every ring event is
+            // at or after it.
+            base_ = t;
+            while (!far_.empty() && far_.front().when == t) {
+                std::pop_heap(far_.begin(), far_.end(), Event::later);
+                // Move out before pop so the handler can schedule.
+                const Event e = std::move(far_.back());
+                far_.pop_back();
+                dispatcher_->dispatch(e.desc, e.when);
+            }
+            const std::uint64_t bit = std::uint64_t{1} << (t & kMask);
+            if (!(occupied_ & bit))
+                continue;
+            std::vector<Event> &bucket = ring_[t & kMask];
+            // A handler may append same-tick events (and reallocate).
+            for (std::size_t i = 0; i < bucket.size(); ++i) {
+                const Event e = std::move(bucket[i]);
+                dispatcher_->dispatch(e.desc, e.when);
+            }
+            bucket.clear();
+            occupied_ &= ~bit;
         }
+        base_ = horizon_;
     }
 
-    bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
+    bool empty() const { return occupied_ == 0 && far_.empty(); }
+
+    std::size_t
+    size() const
+    {
+        std::size_t n = far_.size();
+        for (const auto &bucket : ring_)
+            n += bucket.size();
+        return n;
+    }
 
     /** Tick of the earliest pending event (kTickNever when empty). */
     Tick
     nextEventTick() const
     {
-        return heap_.empty() ? kTickNever : heap_.front().when;
+        Tick next = far_.empty() ? kTickNever : far_.front().when;
+        if (occupied_ != 0) {
+            // Rotate base's bucket to bit 0: the lowest set bit is
+            // then the earliest ring tick's distance from base.
+            const std::uint64_t rel = std::rotr(
+                occupied_, static_cast<int>(base_ & kMask));
+            next = std::min(next, base_ + std::countr_zero(rel));
+        }
+        return next;
     }
 
     /** Serialize pending events in drain order. */
@@ -143,13 +198,15 @@ class EventQueue
     saveState(ckpt::Writer &w) const
     {
         std::vector<const Event *> ordered;
-        ordered.reserve(heap_.size());
-        for (const auto &e : heap_)
+        ordered.reserve(size());
+        for (const auto &e : far_)
             ordered.push_back(&e);
+        for (const auto &bucket : ring_)
+            for (const auto &e : bucket)
+                ordered.push_back(&e);
         std::sort(ordered.begin(), ordered.end(),
                   [](const Event *a, const Event *b) {
-                      return a->when != b->when ? a->when < b->when
-                                                : a->seq < b->seq;
+                      return Event::later(*b, *a);
                   });
         w.u64(horizon_);
         w.u64(ordered.size());
@@ -164,19 +221,20 @@ class EventQueue
 
     /**
      * Restore into an empty queue. Throws ckpt::Error on an unknown
-     * kind byte; `check` sees every descriptor and throws ckpt::Error
-     * for one whose target does not exist. Events are renumbered
-     * 0..n-1 in drain order.
+     * kind byte or an event below the saved drain horizon (it could
+     * never have been pending, and the ring indexes events relative
+     * to that horizon); `check` sees every descriptor and throws
+     * ckpt::Error for one whose target does not exist. Events are
+     * renumbered 0..n-1 in image order.
      */
     template <typename Check>
     void
     loadState(ckpt::Reader &r, const Check &check)
     {
-        MITTS_ASSERT(heap_.empty(),
-                     "EventQueue::loadState on a non-empty queue");
+        MITTS_ASSERT(empty(), "EventQueue::loadState on a non-empty queue");
         horizon_ = r.u64();
+        base_ = horizon_;
         const std::uint64_t n = r.u64();
-        heap_.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
             const Tick when = r.u64();
             // Braced initializers are evaluated left to right.
@@ -189,15 +247,22 @@ class EventQueue
                     "unknown event kind " +
                     std::to_string(static_cast<int>(d.kind)) +
                     " in checkpoint");
+            if (when < horizon_)
+                throw ckpt::Error(
+                    "event at tick " + std::to_string(when) +
+                    " below the drain horizon " +
+                    std::to_string(horizon_) + " in checkpoint");
             check(d);
-            heap_.push_back(Event{when, i, std::move(d)});
+            place(Event{when, i, std::move(d)});
         }
-        // Drain order is a valid heap order, but normalize anyway.
-        std::make_heap(heap_.begin(), heap_.end(), Event::later);
         nextSeq_ = n;
     }
 
   private:
+    static constexpr Tick kMask = kRing - 1;
+    static_assert((kRing & kMask) == 0 && kRing <= 64,
+                  "the ring is one occupancy word of power-of-two size");
+
     struct Event
     {
         Tick when;
@@ -212,7 +277,27 @@ class EventQueue
         }
     };
 
-    std::vector<Event> heap_;
+    /** File `e` (when >= base_) in its ring bucket or the far heap. */
+    void
+    place(Event e)
+    {
+        if (e.when - base_ < kRing) {
+            occupied_ |= std::uint64_t{1} << (e.when & kMask);
+            ring_[e.when & kMask].push_back(std::move(e));
+        } else {
+            far_.push_back(std::move(e));
+            std::push_heap(far_.begin(), far_.end(), Event::later);
+        }
+    }
+
+    /** Bucket t & kMask: FIFO of the events for tick t. */
+    std::array<std::vector<Event>, kRing> ring_;
+    /** Events at or beyond base_ + kRing, as a (when, seq) min-heap. */
+    std::vector<Event> far_;
+    // detlint-transient(derived ring state: bucket b non-empty)
+    std::uint64_t occupied_ = 0;
+    // detlint-transient(derived ring state: set to the horizon on load)
+    Tick base_ = 0;
     // detlint-transient(pending events are renumbered 0..n-1 on load)
     std::uint64_t nextSeq_ = 0;
     /** Tick of the most recent runDue(); past-schedule clamp floor. */

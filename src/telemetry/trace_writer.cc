@@ -3,6 +3,7 @@
 #include <iomanip>
 
 #include "base/logging.hh"
+#include "base/stats_export.hh"
 
 namespace mitts::telemetry
 {
@@ -58,7 +59,7 @@ TraceEventWriter::write(std::ostream &os) const
         os << (first ? "" : ",")
            << "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
               "\"tid\":" << i << ",\"args\":{\"name\":\""
-           << tracks_[i] << "\"}}";
+           << stats::jsonEscape(tracks_[i]) << "\"}}";
         first = false;
     }
     const auto flags = os.flags();

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "base/random.hh"
 #include "cache/cache_array.hh"
 #include "cache/l1_cache.hh"
 #include "cache/mshr.hh"
@@ -77,6 +81,139 @@ TEST(CacheArray, Invalidate)
     arr.insert(0, false);
     arr.invalidate(0);
     EXPECT_FALSE(arr.contains(0));
+}
+
+TEST(CacheArray, TouchCanMarkDirty)
+{
+    CacheArray arr(1024, 2);
+    arr.insert(0, false);
+    EXPECT_TRUE(arr.touch(0, false));
+    EXPECT_FALSE(arr.isDirty(0));
+    EXPECT_TRUE(arr.touch(0, true));
+    EXPECT_TRUE(arr.isDirty(0));
+    EXPECT_FALSE(arr.touch(64, true)); // a miss marks nothing
+    EXPECT_FALSE(arr.isDirty(64));
+}
+
+/**
+ * Victims, hits and dirty bits against a reference true-LRU model
+ * (per set, the valid blocks from least to most recently used) under
+ * a seeded stream of touches, stores, inserts and invalidations over
+ * a few hot sets of a small array.
+ */
+TEST(CacheArray, LruVictimsMatchReference)
+{
+    constexpr unsigned kAssoc = 4;
+    constexpr std::size_t kSets = 8;
+    CacheArray arr(kSets * kAssoc * kBlockBytes, kAssoc);
+    ASSERT_EQ(arr.numSets(), kSets);
+    std::vector<std::vector<Addr>> lru(kSets); // front = LRU
+    std::map<Addr, bool> dirty;
+    Random rng(77);
+    unsigned evictions = 0;
+    for (unsigned i = 0; i < 20000; ++i) {
+        // 24 blocks over 3 sets: enough to keep every way busy.
+        const Addr block =
+            (rng.below(8) * kSets + rng.below(3)) * kBlockBytes;
+        auto &set = lru[(block / kBlockBytes) % kSets];
+        const auto it = std::find(set.begin(), set.end(), block);
+        const bool present = it != set.end();
+        ASSERT_EQ(arr.contains(block), present) << i;
+        if (present && rng.below(16) == 0) {
+            arr.invalidate(block);
+            set.erase(it);
+            continue;
+        }
+        const bool store = rng.below(4) == 0;
+        if (present) {
+            ASSERT_TRUE(arr.touch(block, store));
+            set.erase(std::find(set.begin(), set.end(), block));
+            set.push_back(block);
+            dirty[block] = dirty[block] || store;
+            ASSERT_EQ(arr.isDirty(block), dirty[block]) << i;
+            continue;
+        }
+        ASSERT_FALSE(arr.touch(block, store));
+        const Victim v = arr.insert(block, store);
+        if (set.size() == kAssoc) {
+            ASSERT_TRUE(v.valid) << i;
+            ASSERT_EQ(v.blockAddr, set.front()) << i;
+            ASSERT_EQ(v.dirty, dirty[set.front()]) << i;
+            set.erase(set.begin());
+            ++evictions;
+        } else {
+            ASSERT_FALSE(v.valid) << i;
+        }
+        set.push_back(block);
+        dirty[block] = store;
+    }
+    EXPECT_GT(evictions, 1000u);
+}
+
+std::string
+imageOf(const CacheArray &arr)
+{
+    ckpt::Writer w;
+    w.beginSection("array");
+    arr.saveState(w);
+    w.endSection();
+    return w.finish(0);
+}
+
+TEST(CacheArray, InvalidatedTagSurvivesRoundTrip)
+{
+    CacheArray arr(1024, 2); // 8 sets x 2 ways
+    const Addr block = 0x12340 & ~Addr{63};
+    arr.insert(block, true);
+    arr.invalidate(block);
+    const std::string img = imageOf(arr);
+
+    // Set/way order: sets, assoc, then per line valid, dirty, tag,
+    // lastUse. Find the line by its stale tag.
+    ckpt::Reader r(img, 0);
+    r.beginSection("array");
+    ASSERT_EQ(r.u64(), 8u);
+    ASSERT_EQ(r.u64(), 2u);
+    bool stale = false;
+    for (unsigned line = 0; line < 16; ++line) {
+        const bool valid = r.b();
+        const bool dirty = r.b();
+        const std::uint64_t tag = r.u64();
+        r.u64();
+        if (tag == block >> (6 + 3)) {
+            EXPECT_FALSE(valid);
+            EXPECT_TRUE(dirty);
+            stale = true;
+        }
+    }
+    EXPECT_TRUE(stale);
+
+    CacheArray back(1024, 2);
+    ckpt::Reader in(img, 0);
+    in.beginSection("array");
+    back.loadState(in);
+    in.endSection();
+    EXPECT_FALSE(back.contains(block));
+    EXPECT_EQ(imageOf(back), img);
+}
+
+TEST(CacheArray, RestoreRejectsOversizedTag)
+{
+    ckpt::Writer w;
+    w.beginSection("array");
+    w.u64(1); // sets
+    w.u64(1); // assoc
+    w.b(true);
+    w.b(false);
+    w.u64(~std::uint64_t{0}); // wider than any block address's tag
+    w.u64(0);
+    w.u64(0); // useClock
+    w.endSection();
+    const std::string img = w.finish(0);
+    CacheArray arr(64, 1);
+    ckpt::Reader r(img, 0);
+    r.beginSection("array");
+    EXPECT_THROW(arr.loadState(r), ckpt::Error);
 }
 
 TEST(Mshr, AllocateFindRelease)

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -475,17 +476,34 @@ eventCheckConfig()
     return SystemConfig::multiProgram({"gcc", "mcf"});
 }
 
+/** Little-endian `bytes`-wide integer at `pos` of `s`; advances
+ *  `pos`. */
+std::uint64_t
+readLe(const std::string &s, std::size_t &pos, unsigned bytes)
+{
+    std::uint64_t v = 0;
+    for (unsigned b = 0; b < bytes; ++b)
+        v |= std::uint64_t{static_cast<unsigned char>(s.at(pos + b))}
+             << (8 * b);
+    pos += bytes;
+    return v;
+}
+
+/** Rewrites one section's payload: reads the original bytes, writes
+ *  the replacement into the open section. */
+using SectionRewrite =
+    std::function<void(const std::string &payload, ckpt::Writer &w)>;
+
 /**
- * Checkpoint a short run, then rewrite the image so its events section
- * holds exactly one pending event with the given raw kind byte and
- * core and a null request. Every other section is copied verbatim.
+ * Checkpoint a short run to `file` (in the temp directory), then
+ * rewrite section `section` of the image with `rewrite`. Every other
+ * section is copied verbatim.
  */
 std::string
-checkpointWithEvent(std::uint8_t kind, CoreId core)
+checkpointRewriting(const std::string &file, const std::string &section,
+                    const SectionRewrite &rewrite)
 {
-    const std::string path = tmpPath(
-        "mitts_event_" + std::to_string(kind) + "_" +
-        std::to_string(core) + ".ckpt");
+    const std::string path = tmpPath(file);
     System sys(eventCheckConfig());
     sys.run(256);
     sys.saveCheckpoint(path);
@@ -493,17 +511,8 @@ checkpointWithEvent(std::uint8_t kind, CoreId core)
     std::ifstream is(path, std::ios::binary);
     const std::string img((std::istreambuf_iterator<char>(is)),
                           std::istreambuf_iterator<char>());
-    std::size_t pos = 0;
-    auto le = [&](unsigned bytes) {
-        std::uint64_t v = 0;
-        for (unsigned b = 0; b < bytes; ++b)
-            v |= std::uint64_t{static_cast<unsigned char>(
-                     img.at(pos + b))}
-                 << (8 * b);
-        pos += bytes;
-        return v;
-    };
-    pos = sizeof(ckpt::kMagic) + 4 + 8; // magic, version, config hash
+    std::size_t pos = sizeof(ckpt::kMagic) + 4 + 8; // magic, version, hash
+    auto le = [&](unsigned bytes) { return readLe(img, pos, bytes); };
     const std::uint64_t sections = le(4);
 
     ckpt::Writer w;
@@ -512,18 +521,13 @@ checkpointWithEvent(std::uint8_t kind, CoreId core)
         const std::string name = img.substr(pos, name_len);
         pos += name_len;
         const std::size_t len = le(8);
+        const std::string payload = img.substr(pos, len);
         w.beginSection(name);
-        if (name == "events") {
-            w.u64(256); // drain horizon
-            w.u64(1);   // one pending event
-            w.u64(300); // when
-            w.u8(kind);
-            w.i64(core);
-            w.u64(7); // seq
-            w.request(nullptr);
+        if (name == section) {
+            rewrite(payload, w);
         } else {
-            for (std::size_t b = 0; b < len; ++b)
-                w.u8(static_cast<std::uint8_t>(img[pos + b]));
+            for (const char c : payload)
+                w.u8(static_cast<std::uint8_t>(c));
         }
         w.endSection();
         pos += len + 4; // payload, payload CRC
@@ -532,14 +536,43 @@ checkpointWithEvent(std::uint8_t kind, CoreId core)
     return path;
 }
 
-void
-expectRestoreRejects(std::uint8_t kind, CoreId core)
+/**
+ * A checkpoint whose events section holds a drain horizon of 256 and
+ * exactly one pending event with the given raw kind byte, core and
+ * tick and a null request.
+ */
+std::string
+checkpointWithEvent(std::uint8_t kind, CoreId core, Tick when = 300)
 {
-    const std::string path = checkpointWithEvent(kind, core);
+    return checkpointRewriting(
+        "mitts_event_" + std::to_string(kind) + "_" +
+            std::to_string(core) + "_" + std::to_string(when) + ".ckpt",
+        "events", [&](const std::string &, ckpt::Writer &w) {
+            w.u64(256); // drain horizon
+            w.u64(1);   // one pending event
+            w.u64(when);
+            w.u8(kind);
+            w.i64(core);
+            w.u64(7); // seq
+            w.request(nullptr);
+        });
+}
+
+void
+expectRejected(const std::string &path, const std::string &what)
+{
     System sys(eventCheckConfig());
-    EXPECT_THROW(sys.restoreCheckpoint(path), ckpt::Error)
-        << "kind " << int{kind} << " core " << core;
+    EXPECT_THROW(sys.restoreCheckpoint(path), ckpt::Error) << what;
     std::filesystem::remove(path);
+}
+
+void
+expectRestoreRejects(std::uint8_t kind, CoreId core, Tick when = 300)
+{
+    expectRejected(checkpointWithEvent(kind, core, when),
+                   "kind " + std::to_string(kind) + " core " +
+                       std::to_string(core) + " when " +
+                       std::to_string(when));
 }
 
 constexpr auto kLoadComplete =
@@ -580,6 +613,96 @@ TEST(CkptRestoreEvents, RejectsFillAndCompletionWithoutRequest)
         static_cast<std::uint8_t>(EventDesc::Kind::LlcFill), 0);
     expectRestoreRejects(
         static_cast<std::uint8_t>(EventDesc::Kind::MemComplete), 0);
+}
+
+TEST(CkptRestoreEvents, RejectsEventBelowDrainHorizon)
+{
+    // The queue indexes pending events relative to the horizon; an
+    // event below it could never have been pending.
+    expectRestoreRejects(kLoadComplete, 0, 255);
+}
+
+/** One instruction-window slot as core images store it. */
+struct WindowRow
+{
+    std::uint64_t seq;
+    std::uint8_t done;
+    std::uint8_t isMem;
+};
+
+/**
+ * A checkpoint whose first core's instruction window is replaced by
+ * `edit(original rows)`; the rest of the cores section (the core's
+ * nextSeq and everything after) is copied verbatim.
+ */
+std::string
+checkpointWithWindow(const std::string &file,
+                     const std::function<void(std::vector<WindowRow> &)>
+                         &edit)
+{
+    return checkpointRewriting(
+        file, "cores", [&](const std::string &payload, ckpt::Writer &w) {
+            std::size_t pos = 0;
+            auto le = [&](unsigned bytes) {
+                return readLe(payload, pos, bytes);
+            };
+            std::vector<WindowRow> rows(le(8));
+            for (auto &row : rows) {
+                row.seq = le(8);
+                row.done = static_cast<std::uint8_t>(le(1));
+                row.isMem = static_cast<std::uint8_t>(le(1));
+            }
+            edit(rows);
+            w.u64(rows.size());
+            for (const auto &row : rows) {
+                w.u64(row.seq);
+                w.u8(row.done);
+                w.u8(row.isMem);
+            }
+            for (; pos < payload.size(); ++pos)
+                w.u8(static_cast<std::uint8_t>(payload[pos]));
+        });
+}
+
+TEST(CkptRestoreCore, SplicedWindowRestores)
+{
+    // Control for the tests below: re-encoding the window unchanged
+    // gives a sound image, and the run has a window worth editing.
+    std::size_t rows_seen = 0;
+    const std::string path = checkpointWithWindow(
+        "mitts_window_same.ckpt",
+        [&](std::vector<WindowRow> &rows) { rows_seen = rows.size(); });
+    EXPECT_GE(rows_seen, 2u);
+    System sys(eventCheckConfig());
+    EXPECT_NO_THROW(sys.restoreCheckpoint(path));
+    std::filesystem::remove(path);
+}
+
+TEST(CkptRestoreCore, RejectsWindowLongerThanWindowSize)
+{
+    const std::size_t slots = eventCheckConfig().core.windowSize;
+    expectRejected(
+        checkpointWithWindow("mitts_window_long.ckpt",
+                             [&](std::vector<WindowRow> &rows) {
+                                 // Consecutive seqs ending where the
+                                 // real window ends.
+                                 const std::uint64_t last =
+                                     rows.back().seq;
+                                 rows.resize(slots + 1);
+                                 for (std::size_t i = 0; i <= slots; ++i)
+                                     rows[i] = {last - slots + i, 1, 0};
+                             }),
+        "window of windowSize + 1 entries");
+}
+
+TEST(CkptRestoreCore, RejectsNonConsecutiveWindowSeqs)
+{
+    expectRejected(
+        checkpointWithWindow("mitts_window_gap.ckpt",
+                             [](std::vector<WindowRow> &rows) {
+                                 rows[0].seq -= 1;
+                             }),
+        "window with a sequence gap after its head");
 }
 
 TEST(CkptSystem, CheckpointExtrasRideAlong)

@@ -21,6 +21,7 @@
 
 #include "orchestrate/frame.hh"
 #include "orchestrate/journal.hh"
+#include "orchestrate/orchestrator.hh"
 #include "orchestrate/result_cache.hh"
 #include "orchestrate/sweep_spec.hh"
 #include "orchestrate/worker.hh"
@@ -435,6 +436,25 @@ TEST(Worker, FitnessPayloadBitExact)
     double out = 0;
     EXPECT_FALSE(fitnessFromPayload("not hex", out));
     EXPECT_FALSE(fitnessFromPayload("", out));
+}
+
+// --- orchestrator outputs -----------------------------------------------
+
+TEST(Orchestrator, SummaryJsonEscapesSweepName)
+{
+    const SweepSpec spec = parseSweepText("name = a\"b\\c\n"
+                                          "apps = mcf,libquantum\n"
+                                          "instr = 2000\n"
+                                          "sweep seed = 1\n");
+    validateSweep(spec);
+    ASSERT_EQ(spec.name, "a\"b\\c");
+    OrchestratorOptions opts;
+    opts.cacheDir = tmpDir("orch_escape_cache");
+    opts.outDir = tmpDir("orch_escape_out");
+    runSweep(spec, opts);
+    const std::string js = readAll(opts.outDir + "/summary.json");
+    EXPECT_EQ(js.rfind("{\n  \"name\": \"a\\\"b\\\\c\",\n", 0), 0u)
+        << js;
 }
 
 } // namespace

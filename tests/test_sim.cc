@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "base/random.hh"
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
 #include "sim/simulation.hh"
@@ -97,13 +100,16 @@ TEST(EventQueue, CallbackMaySchedule)
     EventQueue q;
     Recorder rec;
     q.setDispatcher(&rec);
+    // Under runDue(5) the drain horizon is 5, the earliest tick a
+    // handler may schedule for.
     rec.onDispatch = [&](const EventDesc &e) {
         if (e.seq == 1)
-            q.schedule(1, ev(2));
+            q.schedule(5, ev(2));
     };
     q.schedule(1, ev(1));
     q.runDue(5);
     EXPECT_EQ(rec.fired, (std::vector<SeqNum>{1, 2}));
+    EXPECT_EQ(rec.whens, (std::vector<Tick>{1, 5}));
 }
 
 class TickCounter : public Clocked
@@ -219,6 +225,153 @@ TEST(EventQueueDeathTest, PastSchedulePanicsInDebug)
         "scheduled in the past");
 }
 #endif
+
+TEST(EventQueue, RingWindowEdgeGoesToFarHeap)
+{
+    EventQueue q;
+    Recorder rec;
+    q.setDispatcher(&rec);
+    q.runDue(10);
+    q.schedule(10 + EventQueue::kRing, ev(2)); // first far tick
+    q.schedule(10 + EventQueue::kRing - 1, ev(1)); // last ring tick
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.nextEventTick(), 10 + EventQueue::kRing - 1);
+    q.runDue(10 + EventQueue::kRing);
+    EXPECT_EQ(rec.fired, (std::vector<SeqNum>{1, 2}));
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.nextEventTick(), kTickNever);
+}
+
+TEST(EventQueue, FarEventFiresBeforeLaterRingEventOfSameTick)
+{
+    // Tick 100 is beyond the ring when the first event is scheduled
+    // and inside it when the second is: the far-heap event was
+    // scheduled first, so it must fire first.
+    EventQueue q;
+    Recorder rec;
+    q.setDispatcher(&rec);
+    q.schedule(100, ev(1));
+    q.runDue(50);
+    q.schedule(100, ev(2));
+    q.schedule(99, ev(3));
+    q.runDue(100);
+    EXPECT_EQ(rec.fired, (std::vector<SeqNum>{3, 1, 2}));
+}
+
+/**
+ * The queue's drain order against a sorted (when, seq) reference: a
+ * seeded random stream schedules events 0..3*kRing ticks ahead (same
+ * tick included), handlers schedule follow-ups from inside the drain
+ * (same tick included), the clock mostly steps by a few ticks but
+ * sometimes jumps an idle gap of several rings, and halfway through
+ * the queue is saved and restored into a fresh one. Each side numbers
+ * its own follow-ups, so a divergence shows up in the drain records.
+ */
+class DifferentialDriver : public EventDispatcher
+{
+  public:
+    explicit DifferentialDriver(std::uint64_t seed) : rng_(seed) {}
+
+    void
+    run(unsigned steps)
+    {
+        EventQueue first;
+        q_ = &first;
+        q_->setDispatcher(this);
+        EventQueue restored;
+        for (unsigned step = 0; step < steps; ++step) {
+            if (step == steps / 2) {
+                ckpt::Writer w;
+                w.beginSection("events");
+                q_->saveState(w);
+                w.endSection();
+                ckpt::Reader r(w.finish(0), 0);
+                r.beginSection("events");
+                restored.loadState(r, [](const EventDesc &) {});
+                r.endSection();
+                ASSERT_EQ(restored.size(), q_->size());
+                q_ = &restored;
+                q_->setDispatcher(this);
+            }
+            const std::uint64_t n = rng_.below(4);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const Tick when =
+                    now_ + rng_.below(3 * EventQueue::kRing + 1);
+                const SeqNum id = nextId_++;
+                q_->schedule(when, EventDesc::loadComplete(0, id));
+                ref_.emplace(when, refSeq_++, id);
+            }
+            ASSERT_EQ(q_->nextEventTick(), refNext()) << "step " << step;
+            now_ += rng_.below(8) == 0 ? 100 + rng_.below(400)
+                                       : rng_.below(4);
+            q_->runDue(now_);
+            refRunDue();
+            ASSERT_EQ(got_, want_) << "step " << step;
+        }
+        EXPECT_GT(got_.size(), steps);
+    }
+
+    void
+    dispatch(const EventDesc &e, Tick when) override
+    {
+        got_.emplace_back(e.seq, when);
+        Tick delta = 0;
+        if (spawns(e.seq, delta))
+            q_->schedule(now_ + delta,
+                         EventDesc::loadComplete(0, kChild + qChildren_++));
+    }
+
+  private:
+    static constexpr SeqNum kChild = SeqNum{1} << 40;
+
+    /** Whether firing `id` schedules a follow-up, and how far ahead
+     *  (0 = the current tick). A pure function of the id. */
+    static bool
+    spawns(SeqNum id, Tick &delta)
+    {
+        const std::uint64_t h = id * 0x9E3779B97F4A7C15ULL;
+        delta = (h >> 20) % 4 == 0 ? 0 : (h >> 24) % (2 * EventQueue::kRing);
+        return (h >> 40) % 3 == 0;
+    }
+
+    Tick
+    refNext() const
+    {
+        return ref_.empty() ? kTickNever : std::get<0>(*ref_.begin());
+    }
+
+    void
+    refRunDue()
+    {
+        while (!ref_.empty() && std::get<0>(*ref_.begin()) <= now_) {
+            const auto [when, seq, id] = *ref_.begin();
+            ref_.erase(ref_.begin());
+            want_.emplace_back(id, when);
+            Tick delta = 0;
+            if (spawns(id, delta))
+                ref_.emplace(now_ + delta, refSeq_++,
+                             kChild + refChildren_++);
+        }
+    }
+
+    Random rng_;
+    EventQueue *q_ = nullptr;
+    Tick now_ = 0;
+    SeqNum nextId_ = 0;
+    SeqNum qChildren_ = 0;
+    SeqNum refChildren_ = 0;
+    std::uint64_t refSeq_ = 0;
+    std::set<std::tuple<Tick, std::uint64_t, SeqNum>> ref_;
+    std::vector<std::pair<SeqNum, Tick>> got_, want_;
+};
+
+TEST(EventQueue, RingMatchesSortedReference)
+{
+    for (const std::uint64_t seed : {1u, 2u, 3u, 1009u}) {
+        SCOPED_TRACE(seed);
+        DifferentialDriver(seed).run(4000);
+    }
+}
 
 // ---- Quiescence-aware skip-ahead ----------------------------------
 

@@ -30,6 +30,16 @@ sampleGroup()
     return g;
 }
 
+TEST(StatsExport, JsonEscapeQuotesBackslashesAndControls)
+{
+    EXPECT_EQ(stats::jsonEscape("core.0"), "core.0");
+    EXPECT_EQ(stats::jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(stats::jsonEscape(std::string("\n\t\x01\x1f\0", 5)),
+              "\\u000a\\u0009\\u0001\\u001f\\u0000");
+    // DEL and UTF-8 bytes are valid inside a JSON string.
+    EXPECT_EQ(stats::jsonEscape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");
+}
+
 TEST(StatsExport, JsonContainsAllStats)
 {
     const stats::Group g = sampleGroup();

@@ -455,6 +455,19 @@ TEST(TraceWriter, BoundedBufferCountsDrops)
     EXPECT_TRUE(parser.parse());
 }
 
+TEST(TraceWriter, TrackNamesAreJsonEscaped)
+{
+    TraceEventWriter w(TraceEventWriter::Options{});
+    w.track("core \"0\"\\x");
+    std::ostringstream os;
+    w.write(os);
+    EXPECT_NE(os.str().find("\"name\":\"core \\\"0\\\"\\\\x\""),
+              std::string::npos)
+        << os.str();
+    JsonParser parser(os.str());
+    EXPECT_TRUE(parser.parse());
+}
+
 // ---------------------------------------------------------------- //
 // System integration
 // ---------------------------------------------------------------- //
