@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "base/logging.hh"
+#include "base/parse.hh"
 #include "base/thread_pool.hh"
 #include "system/metrics.hh"
 #include "telemetry/scoped_timer.hh"
@@ -44,9 +45,12 @@ scale()
 {
     static const unsigned s = [] {
         if (const char *env = std::getenv("MITTS_BENCH_SCALE")) {
-            const long v = std::atol(env);
-            if (v >= 1 && v <= 100)
-                return static_cast<unsigned>(v);
+            try {
+                return static_cast<unsigned>(
+                    parse::positive("MITTS_BENCH_SCALE", env, 100));
+            } catch (const ParseError &) {
+                // Invalid: fall back to scale 1.
+            }
         }
         return 1u;
     }();

@@ -5,7 +5,9 @@
 # requests, pending events), event dispatch moves request handles out
 # of the queue's ring buckets before handlers reschedule, and the core
 # window and tag arrays are index-computed rings and columns, which is
-# exactly where lifetime, aliasing and bounds bugs would hide.
+# exactly where lifetime, aliasing and bounds bugs would hide. The
+# input parsers and their mutation fuzzer run too: every text input
+# is untrusted.
 # Usage: scripts/asan.sh [extra test binaries...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,7 +16,7 @@ EXTRAS=()
 for arg in "$@"; do
     case "$arg" in
         -h|--help)
-            sed -n '2,9p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,11p' "$0" | sed 's/^# \{0,1\}//'
             exit 0 ;;
         -*)
             echo "asan.sh: unknown flag '$arg' (try --help)" >&2
@@ -31,7 +33,7 @@ cmake -B "$BUILD" -S . \
     -DCMAKE_EXE_LINKER_FLAGS="$SAN"
 cmake --build "$BUILD" -j \
     --target test_ckpt test_sim test_base test_memctrl test_cache \
-    test_core mitts_sim_tool
+    test_core test_parse test_fuzz_inputs mitts_sim_tool
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
@@ -42,6 +44,8 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 "$BUILD"/tests/test_memctrl
 "$BUILD"/tests/test_cache
 "$BUILD"/tests/test_core
+"$BUILD"/tests/test_parse
+"$BUILD"/tests/test_fuzz_inputs
 bash tests/cli_ckpt_test.sh "$BUILD"/tools/mitts_sim
 
 for extra in ${EXTRAS[@]+"${EXTRAS[@]}"}; do
@@ -49,4 +53,4 @@ for extra in ${EXTRAS[@]+"${EXTRAS[@]}"}; do
     "$BUILD"/tests/"$extra"
 done
 
-echo "asan: checkpoint/restore, event-dispatch, cache and core suites clean"
+echo "asan: checkpoint/restore, event-dispatch, cache, core and parser suites clean"

@@ -5,6 +5,8 @@
 #include <exception>
 #include <memory>
 
+#include "base/parse.hh"
+
 namespace mitts
 {
 
@@ -67,9 +69,12 @@ unsigned
 ThreadPool::defaultThreadCount()
 {
     if (const char *env = std::getenv("MITTS_THREADS")) {
-        const long v = std::atol(env);
-        if (v >= 1 && v <= 256)
-            return static_cast<unsigned>(v);
+        try {
+            return static_cast<unsigned>(
+                parse::positive("MITTS_THREADS", env, 256));
+        } catch (const ParseError &) {
+            // Invalid: fall back to the hardware thread count.
+        }
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;

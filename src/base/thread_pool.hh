@@ -63,7 +63,7 @@ class ThreadPool
     static bool inWorker();
 
     /**
-     * MITTS_THREADS from the environment (clamped to [1, 256]), or
+     * MITTS_THREADS from the environment (an integer in [1, 256]), or
      * std::thread::hardware_concurrency() when unset/invalid.
      * Re-reads the environment on every call; the process-wide pool
      * samples it once at first use.

@@ -48,14 +48,6 @@ CacheArray::touch(Addr block_addr, bool make_dirty)
     return true;
 }
 
-void
-CacheArray::markDirty(Addr block_addr)
-{
-    const std::size_t i = findLine(block_addr);
-    MITTS_ASSERT(i != kNoLine, "markDirty on absent line");
-    dirty_[i] = 1;
-}
-
 bool
 CacheArray::isDirty(Addr block_addr) const
 {
@@ -67,25 +59,33 @@ Victim
 CacheArray::insert(Addr block_addr, bool dirty)
 {
     MITTS_ASSERT(!contains(block_addr), "double insert");
-    const std::size_t base = setBase(block_addr);
-    const std::size_t end = base + assoc_;
+    return insertIfAbsent(block_addr, dirty);
+}
 
+Victim
+CacheArray::insertIfAbsent(Addr block_addr, bool dirty)
+{
+    const std::uint64_t key = (tagOf(block_addr) << 1) | 1;
+    const std::size_t base = setBase(block_addr);
     std::size_t slot = kNoLine;
-    for (std::size_t i = base; i < end; ++i) {
+    std::size_t lru = base; // true LRU: the first of equal ages
+    for (std::size_t i = base; i < base + assoc_; ++i) {
+        if (key_[i] == key) {
+            if (dirty)
+                dirty_[i] = 1;
+            return Victim{};
+        }
         if (!(key_[i] & 1)) {
-            slot = i;
-            break;
+            if (slot == kNoLine)
+                slot = i;
+        } else if (lastUse_[i] < lastUse_[lru]) {
+            lru = i;
         }
     }
 
     Victim victim;
     if (slot == kNoLine) {
-        // Evict true-LRU way (the first of equal ages).
-        slot = base;
-        for (std::size_t i = base + 1; i < end; ++i) {
-            if (lastUse_[i] < lastUse_[slot])
-                slot = i;
-        }
+        slot = lru;
         victim.valid = true;
         victim.dirty = dirty_[slot] != 0;
         victim.blockAddr =
@@ -93,7 +93,7 @@ CacheArray::insert(Addr block_addr, bool dirty)
             (block_addr & (setMask_ << setShift_));
     }
 
-    key_[slot] = (tagOf(block_addr) << 1) | 1;
+    key_[slot] = key;
     dirty_[slot] = dirty;
     lastUse_[slot] = ++useClock_;
     return victim;

@@ -47,9 +47,6 @@ class CacheArray
      */
     bool touch(Addr block_addr, bool make_dirty = false);
 
-    /** Set the dirty bit (line must be present). */
-    void markDirty(Addr block_addr);
-
     /** True iff the present line is dirty. */
     bool isDirty(Addr block_addr) const;
 
@@ -58,6 +55,13 @@ class CacheArray
      * the set is full. @return descriptor of the evicted line.
      */
     Victim insert(Addr block_addr, bool dirty);
+
+    /**
+     * Install a line unless it is present, in one scan of the set. A
+     * present line keeps its LRU age and only picks up the dirty bit
+     * when `dirty`. @return the evicted line (invalid when none was).
+     */
+    Victim insertIfAbsent(Addr block_addr, bool dirty);
 
     /** Remove a line if present (back-invalidation). */
     void invalidate(Addr block_addr);

@@ -137,13 +137,9 @@ L1Cache::fill(const ReqPtr &req, Tick now)
     Mshr *m = mshrs_.find(req->blockAddr);
     MITTS_ASSERT(m, "fill without MSHR: block ", req->blockAddr);
 
-    if (!array_.contains(req->blockAddr)) {
-        Victim v = array_.insert(req->blockAddr, m->storeSeen);
-        if (v.valid && v.dirty)
-            sendWriteback(v.blockAddr, now);
-    } else if (m->storeSeen) {
-        array_.markDirty(req->blockAddr);
-    }
+    const Victim v = array_.insertIfAbsent(req->blockAddr, m->storeSeen);
+    if (v.valid && v.dirty)
+        sendWriteback(v.blockAddr, now);
 
     if (client_) {
         for (SeqNum seq : m->waitingLoads)

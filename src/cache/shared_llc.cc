@@ -208,14 +208,11 @@ void
 SharedLlc::fillFromMem(const ReqPtr &req, Tick now)
 {
     const Addr block = req->blockAddr;
-    if (!array_.contains(block)) {
-        Victim v = array_.insert(block, false);
-        if (v.valid && v.dirty) {
-            writebacks_.inc();
-            wbQueue_.push_back(pool_.make(nextWbSeq_++, v.blockAddr,
-                                          MemOp::Writeback, kNoCore,
-                                          now));
-        }
+    const Victim v = array_.insertIfAbsent(block, false);
+    if (v.valid && v.dirty) {
+        writebacks_.inc();
+        wbQueue_.push_back(pool_.make(nextWbSeq_++, v.blockAddr,
+                                      MemOp::Writeback, kNoCore, now));
     }
 
     auto it = missMap_.find(block);

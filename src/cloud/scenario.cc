@@ -1,106 +1,13 @@
 #include "cloud/scenario.hh"
 
-#include <cctype>
-#include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
+#include "base/parse.hh"
 #include "trace/app_profile.hh"
 
 namespace mitts::cloud
 {
-
-namespace
-{
-
-[[noreturn]] void
-fail(const std::string &what, unsigned line, const std::string &msg)
-{
-    throw ScenarioError(what + ":" + std::to_string(line) + ": " +
-                        msg);
-}
-
-std::uint64_t
-parseU64(const std::string &what, unsigned line,
-         const std::string &v)
-{
-    // stoull accepts a leading '-' and negates modulo 2^64.
-    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])))
-        fail(what, line, "expected non-negative integer, got '" + v +
-                             "'");
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t r = std::stoull(v, &pos);
-        if (pos != v.size())
-            fail(what, line, "trailing junk in integer '" + v + "'");
-        return r;
-    } catch (const ScenarioError &) {
-        throw;
-    } catch (const std::exception &) {
-        fail(what, line, "expected integer, got '" + v + "'");
-    }
-}
-
-unsigned
-parseU32(const std::string &what, unsigned line,
-         const std::string &v)
-{
-    const std::uint64_t r = parseU64(what, line, v);
-    if (r > std::numeric_limits<unsigned>::max())
-        fail(what, line, "integer out of range: '" + v + "'");
-    return static_cast<unsigned>(r);
-}
-
-double
-parseF64(const std::string &what, unsigned line,
-         const std::string &v)
-{
-    try {
-        std::size_t pos = 0;
-        const double r = std::stod(v, &pos);
-        if (pos != v.size())
-            fail(what, line, "trailing junk in number '" + v + "'");
-        // NaN would pass every range check in validateScenario.
-        if (!std::isfinite(r))
-            fail(what, line, "expected finite number, got '" + v + "'");
-        return r;
-    } catch (const ScenarioError &) {
-        throw;
-    } catch (const std::exception &) {
-        fail(what, line, "expected number, got '" + v + "'");
-    }
-}
-
-bool
-parseBool(const std::string &what, unsigned line,
-          const std::string &v)
-{
-    if (v == "on" || v == "true" || v == "1")
-        return true;
-    if (v == "off" || v == "false" || v == "0")
-        return false;
-    fail(what, line, "expected on/off, got '" + v + "'");
-}
-
-std::vector<std::string>
-splitCsv(const std::string &v)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : v) {
-        if (c == ',') {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur.push_back(c);
-        }
-    }
-    out.push_back(cur);
-    return out;
-}
-
-} // namespace
 
 ScenarioConfig
 parseScenario(std::istream &in, const std::string &what)
@@ -117,59 +24,60 @@ parseScenario(std::istream &in, const std::string &what)
         std::string key;
         if (!(ls >> key))
             continue; // blank / comment-only line
+        const std::string ctx = parse::at(what, lineno);
         std::string value;
         ls >> value;
         std::string extra;
         if (ls >> extra)
-            fail(what, lineno,
-                 "unexpected trailing token '" + extra + "'");
+            parse::fail(ctx, "unexpected trailing token '" + extra + "'");
         if (value.empty())
-            fail(what, lineno, "key '" + key + "' needs a value");
+            parse::fail(ctx, "key '" + key + "' needs a value");
+        const auto u64 = [&] { return parse::u64(ctx, value); };
+        const auto u32 = [&] { return parse::uint<unsigned>(ctx, value); };
+        const auto f64 = [&] { return parse::finite(ctx, value); };
 
         if (key == "name") {
             sc.name = value;
         } else if (key == "seed") {
-            sc.seed = parseU64(what, lineno, value);
+            sc.seed = u64();
         } else if (key == "sockets") {
-            sc.sockets = parseU32(what, lineno, value);
+            sc.sockets = u32();
         } else if (key == "cores_per_socket") {
-            sc.coresPerSocket = parseU32(what, lineno, value);
+            sc.coresPerSocket = u32();
         } else if (key == "window") {
-            sc.windowCycles = parseU64(what, lineno, value);
+            sc.windowCycles = u64();
         } else if (key == "duration") {
-            sc.durationCycles = parseU64(what, lineno, value);
+            sc.durationCycles = u64();
         } else if (key == "arrivals_per_window") {
-            sc.arrivalsPerWindow = parseF64(what, lineno, value);
+            sc.arrivalsPerWindow = f64();
         } else if (key == "mean_residency_windows") {
-            sc.meanResidencyWindows = parseF64(what, lineno, value);
+            sc.meanResidencyWindows = f64();
         } else if (key == "diurnal_period") {
-            sc.diurnalPeriod = parseU64(what, lineno, value);
+            sc.diurnalPeriod = u64();
         } else if (key == "diurnal_min") {
-            sc.diurnalMin = parseF64(what, lineno, value);
+            sc.diurnalMin = f64();
         } else if (key == "max_tenants") {
-            sc.maxTenants = parseU32(what, lineno, value);
+            sc.maxTenants = u32();
         } else if (key == "profiles") {
-            sc.profiles = splitCsv(value);
+            sc.profiles = parse::list(ctx, value, ',');
         } else if (key == "tier_weights") {
             sc.tierWeights.clear();
-            for (const auto &w : splitCsv(value))
-                sc.tierWeights.push_back(
-                    parseF64(what, lineno, w));
+            for (const auto &w : parse::list(ctx, value, ','))
+                sc.tierWeights.push_back(parse::finite(ctx, w));
         } else if (key == "autoscaler") {
-            sc.autoscaler = parseBool(what, lineno, value);
+            sc.autoscaler = parse::boolean(ctx, value);
         } else if (key == "upgrade_stall_fraction") {
-            sc.upgradeStallFraction = parseF64(what, lineno, value);
+            sc.upgradeStallFraction = f64();
         } else if (key == "downgrade_stall_fraction") {
-            sc.downgradeStallFraction =
-                parseF64(what, lineno, value);
+            sc.downgradeStallFraction = f64();
         } else if (key == "demand_stall_fraction") {
-            sc.demandStallFraction = parseF64(what, lineno, value);
+            sc.demandStallFraction = f64();
         } else if (key == "telemetry") {
-            sc.telemetry = parseBool(what, lineno, value);
+            sc.telemetry = parse::boolean(ctx, value);
         } else if (key == "sample_interval") {
-            sc.sampleInterval = parseU64(what, lineno, value);
+            sc.sampleInterval = u64();
         } else {
-            fail(what, lineno, "unknown key '" + key + "'");
+            parse::fail(ctx, "unknown key '" + key + "'");
         }
     }
     validateScenario(sc);

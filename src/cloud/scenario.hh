@@ -17,24 +17,18 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "base/parse.hh"
 #include "base/types.hh"
 
 namespace mitts::cloud
 {
 
-/** Parse/validation failure; message carries file:line context. */
-class ScenarioError : public std::runtime_error
-{
-  public:
-    explicit ScenarioError(const std::string &msg)
-        : std::runtime_error(msg)
-    {
-    }
-};
+/** Parse/validation failure; a parse error's message starts with
+ *  file:line (see base/parse.hh). */
+using ScenarioError = ParseError;
 
 struct ScenarioConfig
 {

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "base/parse.hh"
+
 namespace mitts::orchestrate
 {
 
@@ -26,17 +28,12 @@ Journal::Journal(std::string path) : path_(std::move(path))
             if (!(ls >> tag >> idx_s >> key_s) || tag != "done" ||
                 (ls >> extra))
                 break;
-            Entry e;
             try {
-                std::size_t p1 = 0, p2 = 0;
-                e.index = std::stoull(idx_s, &p1, 10);
-                e.key = std::stoull(key_s, &p2, 16);
-                if (p1 != idx_s.size() || p2 != key_s.size())
-                    break;
-            } catch (const std::exception &) {
+                entries_.push_back({parse::u64(path_, idx_s),
+                                    parse::hex64(path_, key_s)});
+            } catch (const ParseError &) {
                 break;
             }
-            entries_.push_back(e);
         }
     }
 

@@ -19,6 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "base/parse.hh"
 #include "base/stats_export.hh"
 #include "orchestrate/frame.hh"
 #include "orchestrate/journal.hh"
@@ -93,7 +94,7 @@ std::uint64_t
 dieAfterUnits()
 {
     const char *e = std::getenv("MITTS_SWEEP_TEST_DIE_AFTER_UNITS");
-    return e ? std::strtoull(e, nullptr, 10) : 0;
+    return e ? parse::u64("MITTS_SWEEP_TEST_DIE_AFTER_UNITS", e) : 0;
 }
 
 /**
@@ -289,11 +290,11 @@ class Farm
             s.job = j;
             s.busy = true;
             s.startMs = nowMs();
+            // Capped at 2^63 ms, so the cast and the sum stay in range.
             s.deadlineMs =
                 opts_.unitTimeoutSec > 0
-                    ? s.startMs +
-                          static_cast<std::uint64_t>(
-                              opts_.unitTimeoutSec * 1000.0)
+                    ? s.startMs + static_cast<std::uint64_t>(std::min(
+                                      opts_.unitTimeoutSec * 1000.0, 0x1p63))
                     : 0;
             if (!writeFrame(s.toFd, s.job.type, s.job.payload)) {
                 // Died between jobs; recycle the slot and put the

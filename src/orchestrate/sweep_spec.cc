@@ -1,8 +1,6 @@
 #include "orchestrate/sweep_spec.hh"
 
-#include <cctype>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "ckpt/config_hash.hh"
@@ -14,88 +12,13 @@ namespace mitts::orchestrate
 namespace
 {
 
-std::string
-trim(const std::string &s)
-{
-    const auto b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    const auto e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-std::vector<std::string>
-splitList(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream is(s);
-    while (std::getline(is, item, sep)) {
-        item = trim(item);
-        if (!item.empty())
-            out.push_back(item);
-    }
-    return out;
-}
-
-[[noreturn]] void
-fail(const std::string &what, int line, const std::string &msg)
-{
-    throw SweepError(what + ":" + std::to_string(line) + ": " + msg);
-}
-
-std::uint64_t
-parseU64(const std::string &what, int line, const std::string &v)
-{
-    // stoull accepts a leading '-' and negates modulo 2^64.
-    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])))
-        fail(what, line, "expected non-negative integer, got '" + v +
-                             "'");
-    try {
-        std::size_t pos = 0;
-        const unsigned long long n = std::stoull(v, &pos, 10);
-        if (pos != v.size())
-            fail(what, line, "trailing junk in number '" + v + "'");
-        return static_cast<std::uint64_t>(n);
-    } catch (const SweepError &) {
-        throw;
-    } catch (const std::exception &) {
-        fail(what, line, "bad number '" + v + "'");
-    }
-}
-
-unsigned
-parseU32(const std::string &what, int line, const std::string &v)
-{
-    const std::uint64_t n = parseU64(what, line, v);
-    if (n > std::numeric_limits<unsigned>::max())
-        fail(what, line, "number out of range: '" + v + "'");
-    return static_cast<unsigned>(n);
-}
-
 std::vector<std::uint32_t>
-parseBins(const std::string &what, int line, const std::string &v)
+parseBins(const std::string &ctx, const std::string &v)
 {
     std::vector<std::uint32_t> bins;
-    for (const auto &tok : splitList(v, ':')) {
-        const std::uint64_t n = parseU64(what, line, tok);
-        if (n > 0xFFFFFFFFull)
-            fail(what, line, "bin credit out of range: " + tok);
-        bins.push_back(static_cast<std::uint32_t>(n));
-    }
-    if (bins.empty())
-        fail(what, line, "empty bins value");
+    for (const auto &tok : parse::list(ctx, v, ':'))
+        bins.push_back(parse::uint<std::uint32_t>(ctx, tok));
     return bins;
-}
-
-bool
-parseBool(const std::string &what, int line, const std::string &v)
-{
-    if (v == "1" || v == "true" || v == "yes")
-        return true;
-    if (v == "0" || v == "false" || v == "no")
-        return false;
-    fail(what, line, "bad boolean '" + v + "'");
 }
 
 /** FNV-1a over a sequence of u64 words. */
@@ -193,55 +116,48 @@ SweepSpec
 parseSweep(std::istream &in, const std::string &what)
 {
     SweepSpec spec;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
+    std::string text;
+    unsigned lineno = 0;
+    while (std::getline(in, text)) {
         ++lineno;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        line = trim(line);
+        const std::string ctx = parse::at(what, lineno);
+        const std::string_view line =
+            parse::trim(std::string_view(text).substr(0, text.find('#')));
         if (line.empty())
             continue;
 
         const auto eq = line.find('=');
-        if (eq == std::string::npos)
-            fail(what, lineno, "expected `key = value`");
-        std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
+        if (eq == std::string_view::npos)
+            parse::fail(ctx, "expected `key = value`");
+        std::string key(parse::trim(line.substr(0, eq)));
+        const std::string value(parse::trim(line.substr(eq + 1)));
         if (key.empty() || value.empty())
-            fail(what, lineno, "expected `key = value`");
+            parse::fail(ctx, "expected `key = value`");
+        const auto u64 = [&](const std::string &v) {
+            return parse::u64(ctx, v);
+        };
 
-        const bool axis = key.rfind("sweep ", 0) == 0;
-        if (axis)
-            key = trim(key.substr(6));
-
-        if (axis) {
-            const auto items = splitList(value, ',');
-            if (items.empty())
-                fail(what, lineno, "empty sweep axis");
+        if (key.rfind("sweep ", 0) == 0) {
+            key = std::string(parse::trim(key.substr(6)));
+            const auto items = parse::list(ctx, value, ',');
             if (key == "sched") {
                 spec.schedAxis = items;
             } else if (key == "seed") {
                 for (const auto &v : items)
-                    spec.seedAxis.push_back(
-                        parseU64(what, lineno, v));
+                    spec.seedAxis.push_back(u64(v));
             } else if (key == "bins") {
                 for (const auto &v : items)
-                    spec.binsAxis.push_back(
-                        parseBins(what, lineno, v));
+                    spec.binsAxis.push_back(parseBins(ctx, v));
             } else if (key == "llc-kb") {
                 for (const auto &v : items)
-                    spec.llcKbAxis.push_back(
-                        parseU64(what, lineno, v));
+                    spec.llcKbAxis.push_back(u64(v));
             } else if (key == "instr") {
                 for (const auto &v : items)
-                    spec.instrAxis.push_back(
-                        parseU64(what, lineno, v));
+                    spec.instrAxis.push_back(u64(v));
             } else {
-                fail(what, lineno, "unknown sweep axis '" + key +
-                                       "' (sched, seed, bins, "
-                                       "llc-kb, instr)");
+                parse::fail(ctx, "unknown sweep axis '" + key +
+                                     "' (sched, seed, bins, llc-kb, "
+                                     "instr)");
             }
             continue;
         }
@@ -254,48 +170,46 @@ parseSweep(std::istream &in, const std::string &what)
             else if (value == "tune")
                 spec.mode = SweepMode::Tune;
             else
-                fail(what, lineno,
-                     "mode must be grid or tune, not '" + value +
-                         "'");
+                parse::fail(ctx, "mode must be grid or tune, not '" +
+                                     value + "'");
         } else if (key == "apps") {
-            spec.apps = splitList(value, ',');
+            spec.apps = parse::list(ctx, value, ',');
         } else if (key == "instr") {
-            spec.instr = parseU64(what, lineno, value);
+            spec.instr = u64(value);
         } else if (key == "max-cycles") {
-            spec.maxCycles = parseU64(what, lineno, value);
+            spec.maxCycles = u64(value);
         } else if (key == "llc-kb") {
-            spec.llcKb = parseU64(what, lineno, value);
+            spec.llcKb = u64(value);
         } else if (key == "seed") {
-            spec.seed = parseU64(what, lineno, value);
+            spec.seed = u64(value);
         } else if (key == "gate") {
             if (value == "none")
                 spec.gate = GateKind::None;
             else if (value == "mitts")
                 spec.gate = GateKind::Mitts;
             else
-                fail(what, lineno,
-                     "gate must be none or mitts, not '" + value +
-                         "'");
+                parse::fail(ctx, "gate must be none or mitts, not '" +
+                                     value + "'");
         } else if (key == "objective") {
             if (value == "throughput")
                 spec.objective = Objective::Throughput;
             else if (value == "fairness")
                 spec.objective = Objective::Fairness;
             else
-                fail(what, lineno,
-                     "objective must be throughput or fairness");
+                parse::fail(ctx,
+                            "objective must be throughput or fairness");
         } else if (key == "generations") {
-            spec.generations = parseU32(what, lineno, value);
+            spec.generations = parse::uint<unsigned>(ctx, value);
         } else if (key == "population") {
-            spec.population = parseU32(what, lineno, value);
+            spec.population = parse::uint<unsigned>(ctx, value);
         } else if (key == "ga-seed") {
-            spec.gaSeed = parseU64(what, lineno, value);
+            spec.gaSeed = u64(value);
         } else if (key == "prefilter") {
-            spec.prefilter = parseBool(what, lineno, value);
+            spec.prefilter = parse::boolean(ctx, value);
         } else if (key == "warmup") {
-            spec.warmupInstr = parseU64(what, lineno, value);
+            spec.warmupInstr = u64(value);
         } else {
-            fail(what, lineno, "unknown key '" + key + "'");
+            parse::fail(ctx, "unknown key '" + key + "'");
         }
     }
     return spec;

@@ -32,22 +32,19 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "base/parse.hh"
 #include "system/config.hh"
 #include "tuner/objective.hh"
 
 namespace mitts::orchestrate
 {
 
-/** Parse/validation failure; message carries file:line context. */
-class SweepError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
+/** Parse/validation failure; a parse error's message starts with
+ *  file:line (see base/parse.hh). */
+using SweepError = ParseError;
 
 enum class SweepMode
 {

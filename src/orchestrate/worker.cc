@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "base/parse.hh"
 #include "ckpt/config_hash.hh"
 #include "orchestrate/frame.hh"
 #include "system/runner.hh"
@@ -116,13 +117,9 @@ fitnessFromPayload(const std::string &payload, double &out)
     if (payload.size() != 16)
         return false;
     try {
-        std::size_t pos = 0;
-        const std::uint64_t bits = std::stoull(payload, &pos, 16);
-        if (pos != payload.size())
-            return false;
-        out = std::bit_cast<double>(bits);
+        out = std::bit_cast<double>(parse::hex64("fitness", payload));
         return true;
-    } catch (const std::exception &) {
+    } catch (const ParseError &) {
         return false;
     }
 }
@@ -163,11 +160,10 @@ WorkerContext::aloneFor(const SystemConfig &cfg, std::uint64_t instr)
         bool have = false;
         if (auto hit = cache_.lookup(key, desc)) {
             try {
-                std::size_t pos = 0;
-                cycles = std::stoull(*hit, &pos, 10);
-                have = pos == hit->size();
-            } catch (const std::exception &) {
-                have = false;
+                cycles = parse::u64(desc, *hit);
+                have = true;
+            } catch (const ParseError &) {
+                // A corrupt entry is recomputed and overwritten.
             }
         }
         if (!have) {
@@ -308,7 +304,9 @@ workerMain(int in_fd, int out_fd)
             std::getenv("MITTS_SWEEP_TEST_CRASH_MARKER");
         const bool crash_armed = crash_env && marker_env;
         const std::uint64_t crash_unit =
-            crash_armed ? std::strtoull(crash_env, nullptr, 10) : 0;
+            crash_armed
+                ? parse::u64("MITTS_SWEEP_TEST_CRASH_UNIT", crash_env)
+                : 0;
 
         while (readFrame(in_fd, f)) {
             if (f.type == MsgType::Shutdown)

@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "base/logging.hh"
+#include "base/parse.hh"
 
 namespace mitts
 {
@@ -35,19 +36,26 @@ loadTrace(const std::string &path)
     std::ifstream in(path);
     if (!in)
         fatal("cannot open trace file: ", path);
-    std::string header;
-    std::getline(in, header);
-    if (header != kHeader)
+    std::string line;
+    std::getline(in, line);
+    if (line != kHeader)
         fatal("not a mitts trace file (bad header): ", path);
 
     std::vector<TraceOp> ops;
-    TraceOp op;
-    int is_write = 0;
-    int depends = 0;
-    while (in >> op.gap >> is_write >> depends >> op.addr) {
-        op.isWrite = is_write != 0;
-        op.dependsOnPrev = depends != 0;
-        ops.push_back(op);
+    try {
+        for (unsigned lineno = 2; std::getline(in, line); ++lineno) {
+            const std::string ctx = parse::at(path, lineno);
+            const auto f = parse::list(ctx, line, ' ');
+            if (f.size() != 4)
+                parse::fail(ctx, "expected `gap is_write "
+                                 "depends_on_prev addr`");
+            ops.push_back({parse::uint<std::uint32_t>(ctx, f[0]),
+                           parse::u64(ctx, f[1], 1) != 0,
+                           parse::u64(ctx, f[2], 1) != 0,
+                           parse::u64(ctx, f[3])});
+        }
+    } catch (const ParseError &e) {
+        fatal(e.what());
     }
     if (ops.empty())
         fatal("trace file contains no operations: ", path);

@@ -28,7 +28,7 @@ void saveTrace(const std::string &path, TraceSource &source,
                std::size_t num_ops);
 
 /** Load a previously saved trace into memory. fatal()s on a missing
- *  or malformed file. */
+ *  or malformed file, naming `path:line` for a malformed op line. */
 std::vector<TraceOp> loadTrace(const std::string &path);
 
 /** TraceSource replaying a recorded file, looping at the end. */

@@ -60,6 +60,17 @@ reject "$SIM" --apps gcc --static-gbps fast
 reject "$SIM" --apps gcc --bins 1,2,three,4,5,6,7,8,9,10
 reject "$SIM" --apps gcc --noc 0x5
 reject "$SIM" --apps gcc --noc 5xq
+# Each of these once ran, wrapped, aborted or exited 1 instead.
+reject "$SIM" --apps gcc --llc 2kxyz
+reject "$SIM" --apps gcc --llc abc
+reject "$SIM" --apps gcc --llc -1
+reject "$SIM" --apps gcc --llc nan
+reject "$SIM" --apps gcc --llc 1.5m
+reject "$SIM" --apps gcc --noc 4294967298x2
+reject "$SIM" --apps gcc --noc 5
+reject "$SIM" --apps gcc --bins 4294967296,1,1,1,1,1,1,1,1,1
+reject "$SIM" --apps gcc --gate bogus
+reject "$SIM" --apps gcc --instr
 
 # Conflicting combinations.
 reject "$SIM" --apps gcc --checkpoint-every 100

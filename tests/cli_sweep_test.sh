@@ -56,6 +56,13 @@ reject "$SWEEP" --spec "$WORK/grid.sweep"
 reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --workers 999
 reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --workers -1
 reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --timeout x
+# NaN once disabled the deadline, inf and 1e300 overflowed the
+# millisecond cast, 2^32 retries wrapped to 0.
+reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --timeout nan
+reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --timeout inf
+reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --timeout 1e300
+reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" \
+    --retries 4294967296
 reject "$SWEEP" --bogus-flag
 
 expect_exit 1 "$SWEEP" --spec "$WORK/absent.sweep" --out "$WORK/o"

@@ -66,12 +66,31 @@ TEST(CacheArray, VictimAddressRoundTrips)
     EXPECT_TRUE(found);
 }
 
+TEST(CacheArray, InsertIfAbsentKeepsPresentLineAge)
+{
+    CacheArray arr(2 * 64, 2); // 1 set, 2 ways
+    EXPECT_FALSE(arr.insertIfAbsent(0, false).valid);
+    EXPECT_FALSE(arr.insertIfAbsent(64, false).valid);
+    // Present: no second copy, no LRU update, dirty bit picked up.
+    EXPECT_FALSE(arr.insertIfAbsent(0, true).valid);
+    EXPECT_TRUE(arr.isDirty(0));
+    EXPECT_FALSE(arr.insertIfAbsent(64, false).valid);
+    EXPECT_FALSE(arr.isDirty(64));
+    // 0 is still the LRU way, so it is the victim, dirty.
+    const Victim v = arr.insertIfAbsent(128, false);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.blockAddr, 0u);
+    EXPECT_TRUE(v.dirty);
+    EXPECT_TRUE(arr.contains(64));
+    EXPECT_TRUE(arr.contains(128));
+}
+
 TEST(CacheArray, DirtyBit)
 {
     CacheArray arr(1024, 2);
     arr.insert(0, false);
     EXPECT_FALSE(arr.isDirty(0));
-    arr.markDirty(0);
+    arr.insertIfAbsent(0, true); // present: only marks it dirty
     EXPECT_TRUE(arr.isDirty(0));
 }
 

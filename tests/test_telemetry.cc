@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "base/parse.hh"
 #include "system/system.hh"
 #include "telemetry/probe.hh"
 #include "telemetry/sampler.hh"
@@ -120,8 +121,9 @@ parseCsvInto(const std::string &text,
         ASSERT_TRUE(std::getline(ls, probe, ','));
         ASSERT_TRUE(std::getline(ls, kind, ','));
         ASSERT_TRUE(std::getline(ls, value, ','));
-        rows[probe].push_back(CsvRow{std::stoull(s), std::stoull(e),
-                                     kind, std::stod(value)});
+        rows[probe].push_back(CsvRow{parse::u64("start", s),
+                                     parse::u64("end", e), kind,
+                                     parse::finite("value", value)});
     }
 }
 

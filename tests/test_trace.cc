@@ -243,6 +243,40 @@ TEST(TraceIoDeath, BadHeaderIsFatal)
                 "bad header");
 }
 
+/** Write a trace file whose op lines are `lines`; returns its path. */
+std::string
+writeTrace(const std::string &name, const std::string &lines)
+{
+    const std::string path = "/tmp/mitts_" + name + ".txt";
+    std::ofstream(path) << "mitts-trace-v1\n" << lines;
+    return path;
+}
+
+TEST(TraceIoDeath, MalformedMiddleLineNamesItsLine)
+{
+    const std::string path = writeTrace(
+        "trace_bad_middle", "1 0 0 64\n2 1 0 128\n3 0 x 192\n4 0 0 256\n");
+    EXPECT_EXIT(loadTrace(path), ::testing::ExitedWithCode(1),
+                "trace_bad_middle.txt:4: .*'x'");
+}
+
+TEST(TraceIoDeath, TrailingJunkNamesItsLine)
+{
+    const std::string path =
+        writeTrace("trace_junk", "1 0 0 64\n2 1 0 128 junk\n");
+    EXPECT_EXIT(loadTrace(path), ::testing::ExitedWithCode(1),
+                "trace_junk.txt:3: ");
+}
+
+TEST(TraceIoDeath, OutOfRangeFieldsAreFatal)
+{
+    // A gap that does not fit 32 bits, a flag that is not 0/1.
+    EXPECT_EXIT(loadTrace(writeTrace("trace_gap", "4294967296 0 0 64\n")),
+                ::testing::ExitedWithCode(1), "trace_gap.txt:2: ");
+    EXPECT_EXIT(loadTrace(writeTrace("trace_flag", "1 2 0 64\n")),
+                ::testing::ExitedWithCode(1), "trace_flag.txt:2: ");
+}
+
 TEST(AppProfileDeath, UnknownNameIsFatal)
 {
     EXPECT_EXIT(appProfile("no-such-benchmark"),

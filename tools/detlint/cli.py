@@ -1,7 +1,8 @@
 """detlint -- determinism & checkpoint-contract linter for mitts-sim.
 
 Passes:
-  lexical   R1-R4, R6-R8 pattern rules per file (see rules/lexical.py)
+  lexical   R1-R4, R6-R8, R12 pattern rules per file (see
+            rules/lexical.py)
   compile   R5 standalone-header checks (g++ -fsyntax-only)
   semantic  R9-R11 over an extracted class/field/method model
             (checkpoint coverage, save/load symmetry, wake-dirty
@@ -112,7 +113,7 @@ class _FileStore:
 
 
 def _lexical_pass(root, path, raw, raw_lines, report):
-    """R1-R4, R6-R8 for one file; returns True when the file is an R5
+    """R1-R4, R6-R8, R12 for one file; returns True when the file is an R5
     candidate (MITTS_ASSERT-bearing header under src/)."""
     code = strip_code(raw)
     rel = os.path.relpath(path, root)
@@ -132,6 +133,8 @@ def _lexical_pass(root, path, raw, raw_lines, report):
     lexical.check_r3(path, code, report)
     if rel not in lexical.R7_EXEMPT:
         lexical.check_r7(path, code, report)
+    if rel not in lexical.R12_EXEMPT:
+        lexical.check_r12(path, code, report)
     return is_r5
 
 

@@ -1,5 +1,5 @@
-"""Lexical pattern rules R1-R4 and R6-R8 (ported from detlint v1)
-plus the R5 standalone-header compile check.
+"""Lexical pattern rules R1-R4, R6-R8 (ported from detlint v1) and
+R12, plus the R5 standalone-header compile check.
 
 These run per file over stripped text; R2 additionally reads the
 same-stem sibling header so member declarations are visible when
@@ -288,6 +288,31 @@ def check_r8(path, code, report):
                "be assigned into index-addressed slots and merged by "
                "unit index, never appended in completion order"
                % m.group(1))
+
+
+# --------------------------------------------------------------- R12
+
+# base/parse.cc is the one file that converts text to numbers.
+R12_EXEMPT = (os.path.join("src", "base", "parse.cc"),)
+# The C and C++ text-to-number calls, unqualified or qualified by
+# std:: or ::; a member call, or a call qualified by another
+# namespace, is not one of them.
+R12_RE = re.compile(
+    r"(?<![\w.>:])(?:std\s*::\s*|::\s*)?"
+    r"(?P<fn>sto(?:i|l|ll|ul|ull|f|d|ld)"
+    r"|strto(?:l|ll|ul|ull|f|d|ld|imax|umax)"
+    r"|ato(?:i|l|ll|f))\s*\(")
+
+
+def check_r12(path, code, report):
+    """Every number read from text goes through base/parse.hh: the
+    raw conversions wrap negatives, skip whitespace, accept partial
+    tokens or NaN, and each caller re-invents its own checks."""
+    for m in R12_RE.finditer(code):
+        report("R12", line_of(code, m.start()),
+               "raw text-to-number call '%s'; parse through "
+               "base/parse.hh (strict grammar, one ParseError type)"
+               % m.group("fn"))
 
 
 # --------------------------------------------------------------- R5

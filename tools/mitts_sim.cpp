@@ -11,20 +11,20 @@
  */
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analytic/analytic_model.hh"
+#include "base/parse.hh"
 #include "ckpt/serialize.hh"
 #include "cloud/engine.hh"
 #include "cloud/scenario.hh"
@@ -39,6 +39,8 @@ namespace
 {
 
 constexpr const char *kToolVersion = "1.4.0";
+constexpr std::uint64_t kMaxUnsigned =
+    std::numeric_limits<unsigned>::max();
 
 [[noreturn]] void
 usage(int code)
@@ -87,10 +89,12 @@ exit codes:
   0  success
   1  configuration or runtime error (unknown app/scheduler, bad bin
      count, simulation failure)
-  2  usage error: unknown flag, malformed or out-of-range numeric
-     value (--instr/--cycles/--seed/--sample-interval/
-     --checkpoint-every must be positive integers, --static-gbps a
-     positive number), a conflicting combination (--tune with
+  2  usage error: unknown flag or --gate/--backend/--tune value,
+     malformed or out-of-range numeric value (--instr/--cycles/
+     --sample-interval/--checkpoint-every/--scenario-until must be
+     positive integers, --seed a non-negative one, --static-gbps a
+     positive number, --llc N[kKmM], --noc WxH of positive integers,
+     --bins integers below 2^32), a conflicting combination (--tune with
      checkpointing, --checkpoint-every without --checkpoint-out,
      --prefilter without --tune, --backend analytic with any
      cycle-accurate-only flag: --cycles --stats --no-skip
@@ -111,82 +115,6 @@ usageError(const std::string &msg)
 {
     std::fprintf(stderr, "mitts_sim: %s (see --help)\n", msg.c_str());
     std::exit(2);
-}
-
-/** Checked u64 parse: the whole token must be digits and fit. */
-std::uint64_t
-parseU64(const std::string &flag, const std::string &s)
-{
-    if (s.empty() ||
-        s.find_first_not_of("0123456789") != std::string::npos)
-        usageError(flag + " expects a non-negative integer, got '" +
-                   s + "'");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno == ERANGE)
-        usageError(flag + " value out of range: '" + s + "'");
-    return v;
-}
-
-/** Checked u64 parse that additionally rejects zero. */
-std::uint64_t
-parsePositiveU64(const std::string &flag, const std::string &s)
-{
-    const std::uint64_t v = parseU64(flag, s);
-    if (v == 0)
-        usageError(flag + " must be a positive integer, got '" + s +
-                   "'");
-    return v;
-}
-
-/** Checked double parse rejecting non-numeric/non-finite/<=0. */
-double
-parsePositiveDouble(const std::string &flag, const std::string &s)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || end == s.c_str() || (end && *end) ||
-        !std::isfinite(v) || v <= 0.0)
-        usageError(flag + " expects a positive number, got '" + s +
-                   "'");
-    return v;
-}
-
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, sep)) {
-        if (!item.empty())
-            out.push_back(item);
-    }
-    return out;
-}
-
-std::size_t
-parseBytes(const std::string &s)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    std::size_t mul = 1;
-    if (end && *end) {
-        switch (*end) {
-          case 'k':
-          case 'K':
-            mul = 1024;
-            break;
-          case 'm':
-          case 'M':
-            mul = 1024 * 1024;
-            break;
-          default:
-            fatal("bad size suffix in '", s, "'");
-        }
-    }
-    return static_cast<std::size_t>(v * static_cast<double>(mul));
 }
 
 SchedulerKind
@@ -242,7 +170,7 @@ runScenarioMode(int argc, char **argv)
         } else if (arg == "--scenario-out") {
             out_dir = need(i);
         } else if (arg == "--scenario-until") {
-            until = parsePositiveU64("--scenario-until", need(i));
+            until = parse::positive(arg, need(i));
         } else if (arg == "--no-skip") {
             sim_cfg.skipAhead = false;
         } else if (arg == "--stats") {
@@ -250,8 +178,7 @@ runScenarioMode(int argc, char **argv)
         } else if (arg == "--checkpoint-out") {
             ckpt_out = need(i);
         } else if (arg == "--checkpoint-every") {
-            ckpt_every =
-                parsePositiveU64("--checkpoint-every", need(i));
+            ckpt_every = parse::positive(arg, need(i));
         } else if (arg == "--restore") {
             restore_dir = need(i);
         } else {
@@ -363,16 +290,10 @@ runScenarioMode(int argc, char **argv)
     return 0;
 }
 
-} // namespace
-
+/** Flag loop and run of a single System (every non-scenario run). */
 int
-main(int argc, char **argv)
+runSystemMode(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--scenario") == 0)
-            return runScenarioMode(argc, argv);
-    }
-
     SystemConfig cfg;
     std::uint64_t instr_target = 200'000;
     Tick fixed_cycles = 0;
@@ -389,7 +310,7 @@ main(int argc, char **argv)
 
     auto need = [&](int &i) -> std::string {
         if (i + 1 >= argc)
-            fatal("flag ", argv[i], " needs a value");
+            usageError(std::string(argv[i]) + " needs a value");
         return argv[++i];
     };
 
@@ -411,7 +332,7 @@ main(int argc, char **argv)
             }
             return 0;
         } else if (arg == "--apps") {
-            cfg.apps = split(need(i), ',');
+            cfg.apps = parse::list(arg, need(i), ',');
         } else if (arg == "--backend") {
             const std::string b = need(i);
             if (b == "analytic")
@@ -425,19 +346,24 @@ main(int argc, char **argv)
             cfg.sched = parseSched(need(i));
         } else if (arg == "--gate") {
             const std::string g = need(i);
-            cfg.gate = g == "mitts"
-                           ? GateKind::Mitts
-                           : (g == "static" ? GateKind::Static
-                                            : GateKind::None);
+            if (g == "mitts")
+                cfg.gate = GateKind::Mitts;
+            else if (g == "static")
+                cfg.gate = GateKind::Static;
+            else if (g == "none")
+                cfg.gate = GateKind::None;
+            else
+                usageError("--gate expects none, mitts or static, "
+                           "got '" + g + "'");
         } else if (arg == "--bins") {
             cfg.gate = GateKind::Mitts;
-            for (const auto &tok : split(need(i), ','))
-                bin_credits.push_back(static_cast<std::uint32_t>(
-                    parseU64("--bins", tok)));
+            for (const auto &tok : parse::list(arg, need(i), ','))
+                bin_credits.push_back(
+                    parse::uint<std::uint32_t>(arg, tok));
         } else if (arg == "--static-gbps") {
             cfg.gate = GateKind::Static;
-            static_gbps = parsePositiveDouble("--static-gbps",
-                                              need(i));
+            static_gbps =
+                parse::finite(arg, need(i), 0.0, parse::Bound::Strict);
         } else if (arg == "--tune") {
             tune_objective = need(i);
             if (tune_objective != "throughput" &&
@@ -446,22 +372,22 @@ main(int argc, char **argv)
                            "got '" + tune_objective + "'");
             cfg.gate = GateKind::Mitts;
         } else if (arg == "--instr") {
-            instr_target = parsePositiveU64("--instr", need(i));
+            instr_target = parse::positive(arg, need(i));
         } else if (arg == "--cycles") {
-            fixed_cycles = parsePositiveU64("--cycles", need(i));
+            fixed_cycles = parse::positive(arg, need(i));
         } else if (arg == "--llc") {
-            cfg.llc.sizeBytes = parseBytes(need(i));
+            cfg.llc.sizeBytes = parse::bytes(arg, need(i));
         } else if (arg == "--noc") {
-            const auto dims = split(need(i), 'x');
+            const auto dims = parse::list(arg, need(i), 'x');
             if (dims.size() != 2)
-                fatal("--noc expects WxH");
+                usageError("--noc expects WxH");
             cfg.noc.enabled = true;
             cfg.noc.width = static_cast<unsigned>(
-                parsePositiveU64("--noc", dims[0]));
+                parse::positive(arg, dims[0], kMaxUnsigned));
             cfg.noc.height = static_cast<unsigned>(
-                parsePositiveU64("--noc", dims[1]));
+                parse::positive(arg, dims[1], kMaxUnsigned));
         } else if (arg == "--seed") {
-            cfg.seed = parseU64("--seed", need(i));
+            cfg.seed = parse::u64(arg, need(i));
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--no-skip") {
@@ -473,16 +399,14 @@ main(int argc, char **argv)
         } else if (arg == "--sample-interval") {
             saw_sample_interval = true;
             cfg.telemetry.enabled = true;
-            cfg.telemetry.sampleInterval =
-                parsePositiveU64("--sample-interval", need(i));
+            cfg.telemetry.sampleInterval = parse::positive(arg, need(i));
         } else if (arg == "--trace-events") {
             cfg.telemetry.enabled = true;
             cfg.telemetry.traceEvents = true;
         } else if (arg == "--checkpoint-out") {
             ckpt_out = need(i);
         } else if (arg == "--checkpoint-every") {
-            ckpt_every =
-                parsePositiveU64("--checkpoint-every", need(i));
+            ckpt_every = parse::positive(arg, need(i));
         } else if (arg == "--restore") {
             restore_path = need(i);
         } else {
@@ -719,4 +643,23 @@ main(int argc, char **argv)
                         sys.telemetry()->tracePath().c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A malformed flag value surfaces as a ParseError naming the flag:
+    // a usage error. Scenario-file errors are caught inside
+    // runScenarioMode (exit 1).
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (std::strcmp(argv[i], "--scenario") == 0)
+                return runScenarioMode(argc, argv);
+        }
+        return runSystemMode(argc, argv);
+    } catch (const ParseError &e) {
+        usageError(e.what());
+    }
 }

@@ -10,7 +10,6 @@
  * Run with --help for the full flag reference.
  */
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "base/parse.hh"
 #include "ckpt/serialize.hh"
 #include "orchestrate/orchestrator.hh"
 #include "orchestrate/sweep_spec.hh"
@@ -66,7 +66,8 @@ exit codes:
      failure, retry budget exhausted, cache/journal I/O failure)
   2  usage error: unknown flag, missing --spec/--out, malformed or
      out-of-range numeric value (--workers at most 256, --retries a
-     non-negative integer, --timeout a non-negative number)
+     non-negative integer below 2^32, --timeout a finite non-negative
+     number of seconds below 2^64 ms)
 
 every rejected combination prints a one-line reason on stderr.
 )");
@@ -83,34 +84,15 @@ usageError(const std::string &msg)
     std::exit(2);
 }
 
-/** Checked u64 parse: the whole token must be digits and fit. */
-std::uint64_t
-parseU64(const std::string &flag, const std::string &s)
-{
-    if (s.empty() ||
-        s.find_first_not_of("0123456789") != std::string::npos)
-        usageError(flag + " expects a non-negative integer, got '" +
-                   s + "'");
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (errno == ERANGE || end != s.c_str() + s.size())
-        usageError(flag + " value out of range: '" + s + "'");
-    return v;
-}
-
-/** Checked non-negative double parse. */
+/** Seconds per unit whose deadline still fits u64 milliseconds. */
 double
-parseNonNegDouble(const std::string &flag, const std::string &s)
+parseTimeout(const std::string &flag, const std::string &s)
 {
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || errno == ERANGE || end != s.c_str() + s.size() ||
-        v < 0.0)
-        usageError(flag + " expects a non-negative number, got '" +
-                   s + "'");
-    return v;
+    const double sec = parse::finite(flag, s, 0.0);
+    if (sec * 1000.0 >= 0x1p64)
+        parse::fail(flag, "timeout must be below 2^64 ms, got '" + s +
+                              "'");
+    return sec;
 }
 
 } // namespace
@@ -124,45 +106,48 @@ main(int argc, char **argv)
     bool workerMode = false;
     bool cacheSet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usageError(arg + " requires a value");
-            return argv[++i];
-        };
-        if (arg == "--help") {
-            usage(0);
-        } else if (arg == "--version") {
-            std::printf("mitts_sweep %s (record v%u, checkpoint "
-                        "format v%u)\n",
-                        kToolVersion, kRecordVersion,
-                        ckpt::kFormatVersion);
-            return 0;
-        } else if (arg == "--worker") {
-            workerMode = true;
-        } else if (arg == "--spec") {
-            specPath = value();
-        } else if (arg == "--out") {
-            opts.outDir = value();
-        } else if (arg == "--cache") {
-            opts.cacheDir = value();
-            cacheSet = true;
-        } else if (arg == "--worker-exe") {
-            opts.workerExe = value();
-        } else if (arg == "--workers") {
-            const std::uint64_t n = parseU64(arg, value());
-            if (n > 256)
-                usageError("--workers must be at most 256");
-            opts.workers = static_cast<unsigned>(n);
-        } else if (arg == "--retries") {
-            opts.maxRetries =
-                static_cast<unsigned>(parseU64(arg, value()));
-        } else if (arg == "--timeout") {
-            opts.unitTimeoutSec = parseNonNegDouble(arg, value());
-        } else {
-            usageError("unknown flag '" + arg + "'");
+    // A malformed flag value surfaces as a ParseError naming the flag:
+    // a usage error. Sweep-spec errors below exit 1.
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            auto value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    usageError(arg + " requires a value");
+                return argv[++i];
+            };
+            if (arg == "--help") {
+                usage(0);
+            } else if (arg == "--version") {
+                std::printf("mitts_sweep %s (record v%u, checkpoint "
+                            "format v%u)\n",
+                            kToolVersion, kRecordVersion,
+                            ckpt::kFormatVersion);
+                return 0;
+            } else if (arg == "--worker") {
+                workerMode = true;
+            } else if (arg == "--spec") {
+                specPath = value();
+            } else if (arg == "--out") {
+                opts.outDir = value();
+            } else if (arg == "--cache") {
+                opts.cacheDir = value();
+                cacheSet = true;
+            } else if (arg == "--worker-exe") {
+                opts.workerExe = value();
+            } else if (arg == "--workers") {
+                opts.workers =
+                    static_cast<unsigned>(parse::u64(arg, value(), 256));
+            } else if (arg == "--retries") {
+                opts.maxRetries = parse::uint<unsigned>(arg, value());
+            } else if (arg == "--timeout") {
+                opts.unitTimeoutSec = parseTimeout(arg, value());
+            } else {
+                usageError("unknown flag '" + arg + "'");
+            }
         }
+    } catch (const ParseError &e) {
+        usageError(e.what());
     }
 
     if (workerMode) {
@@ -184,15 +169,6 @@ main(int argc, char **argv)
         validateSweep(spec);
         const OrchestratorCounters counters = runSweep(spec, opts);
         counters.print(std::cout, spec.name);
-    } catch (const SweepError &e) {
-        std::fprintf(stderr, "mitts_sweep: %s\n", e.what());
-        return 1;
-    } catch (const OrchestrateError &e) {
-        std::fprintf(stderr, "mitts_sweep: %s\n", e.what());
-        return 1;
-    } catch (const ckpt::Error &e) {
-        std::fprintf(stderr, "mitts_sweep: %s\n", e.what());
-        return 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "mitts_sweep: %s\n", e.what());
         return 1;
